@@ -1,16 +1,17 @@
 """How the two computation strategies scale with the genus.
 
 The recursion's work grows quickly with g; the closed formula's per-value
-cost is dominated by one weight-class sweep of gated determinants and a
-single Kostka column, with the genus entering only through the weight
-3g-3+n.  Timings are wall-clock medians of three runs with cold caches;
-nothing here is asserted - the point is the shape of the curve.
+cost is one Kostka column and a chain of g 3-ribbon removals started from
+it.  On these extreme indices the column is a single shape, and so is
+every step of the chain.  Timings are wall-clock medians of three runs
+with cold caches; nothing here is asserted - the point is the shape of
+the curve.
 """
 
 import time
 
 from wkintersect import DTable, a_gn_oracle, r_max, tau, virasoro_tau
-from wkintersect import intersect, oracle, sympoly
+from wkintersect import hop, oracle
 
 n = 3
 g_max = 9
@@ -23,8 +24,7 @@ for g in range(1, g_max + 1):
     d = (3 * g - 3 + n,) + (0,) * (n - 1)
     tf, to = [], []
     for _ in range(3):
-        sympoly.clear_caches()
-        intersect.clear_q_cache()
+        hop.clear_caches()
         t0 = time.perf_counter()
         a = tau(g, d, table)
         tf.append(time.perf_counter() - t0)

@@ -11,9 +11,8 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from . import intersect, oracle, sympoly
+from . import hop, intersect, oracle, sympoly
 from .partitions import enumerate_partitions, format_partition, partition_class
 from .pengine import DTable, degree_rn, r_max
 
@@ -123,16 +122,10 @@ def cmd_dtable(args, out):
     return EXIT_OK
 
 
-def _verify_index(job):
-    g, d, table = job
-    lhs = intersect.tau(g, d, table)
-    rhs = oracle.virasoro_tau(g, d)
-    return (g, d, lhs, rhs)
-
-
 def cmd_verify(args, out):
     table = load_table(args)
-    jobs = []
+    checked = 0
+    bad = []
     for n in range(1, args.n_max + 1):
         if n >= 3:
             table.ensure_upto(min(args.g_max, r_max(n)), n, provider_for(n))
@@ -140,19 +133,18 @@ def cmd_verify(args, out):
             if 2 * g - 2 + n <= 0:
                 continue
             for lam in partition_class(degree_rn(g, n), n):
-                jobs.append((g, lam + (0,) * (n - len(lam)), table))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_verify_index, jobs))
-    else:
-        results = [_verify_index(job) for job in jobs]
-    bad = [(g, d, a, b) for (g, d, a, b) in results if a != b]
+                d = lam + (0,) * (n - len(lam))
+                lhs = intersect.tau(g, d, table)
+                rhs = oracle.virasoro_tau(g, d)
+                checked += 1
+                if lhs != rhs:
+                    bad.append((g, d, lhs, rhs))
     for g, d, a, b in bad:
         out.write(
             "MISMATCH g=%d d=%s formula=%s oracle=%s\n"
             % (g, ",".join(map(str, d)), a, b)
         )
-    out.write("verified %d indices, %d mismatches\n" % (len(results), len(bad)))
+    out.write("verified %d indices, %d mismatches\n" % (checked, len(bad)))
     return EXIT_MISMATCH if bad else EXIT_OK
 
 
@@ -201,11 +193,6 @@ def cmd_elo(args, out):
     return EXIT_OK
 
 
-def _clear_runtime_caches():
-    sympoly.clear_caches()
-    intersect.clear_q_cache()
-
-
 def cmd_bench(args, out):
     """Wall-clock scaling of the closed formula (warm coefficient tables)
     against the recursion, medians of three runs each."""
@@ -221,7 +208,7 @@ def cmd_bench(args, out):
         times_f = []
         times_o = []
         for _ in range(3):
-            _clear_runtime_caches()
+            hop.clear_caches()
             t0 = time.perf_counter()
             vf = intersect.tau(g, d, table)
             times_f.append(time.perf_counter() - t0)
@@ -249,7 +236,6 @@ def build_parser():
     )
     top.add_argument("--cache-dir", default=default_cache_dir(), help="coefficient cache directory (env WK_CACHE_DIR)")
     top.add_argument("--format", choices=("human", "tsv"), default="human")
-    top.add_argument("--threads", type=int, default=1, help="worker bound for verification sweeps")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tau", help="one intersection number")

@@ -23,6 +23,7 @@ import math
 from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int
 from .partitions import partition_class, ptrim, transpose
 from . import laurent
+from . import sympoly
 from .sympoly import (
     MONOMIAL,
     SCHUR,
@@ -194,3 +195,13 @@ def kostka_row_restricted(mu, nrows):
                 row[lam] = k
         _KOSTKA_ROWS[key] = row
     return row
+
+
+def clear_caches():
+    """Drop every memo the closed formula fills: the integer halves of N,
+    the restricted Kostka rows and all of :mod:`sympoly`'s Kostka and
+    partition-class data (used by benchmarks and tests)."""
+    _GNUM.clear()
+    _DDEN.clear()
+    _KOSTKA_ROWS.clear()
+    sympoly.clear_caches()

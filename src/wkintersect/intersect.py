@@ -10,15 +10,27 @@ polynomial components, Q the mod-3-gated determinant
     <tau_{lam_1} ... tau_{lam_n}>_g
         = 24^(-g) sum_r 12^r sum_nu sum_{mu >= lam} D_{r,n}(nu) Q_{nu,mu} K~_{mu,lam}.
 
-The same data yields the generating polynomials, the correlator
-coefficient tables (where the Kostka numbers cancel entirely), and a
-truncated determinant producing all genera of a correlator at once.
+Since Q_{nu,mu} = <p_3^k s_nu, s_mu> / k!, every Q sum is a chain of
+3-ribbon moves, and that is how the numbers are evaluated here:
+
+* ``tau`` runs the adjoint chain downward from its own Kostka column,
+  W_0 = sum_mu K_{mu,lam} G(mu) s_mu and W_{k+1} = p_3^perp W_k, and
+  dots W_{g-r} with the table block P_{r,n};
+* ``a_gn`` and ``w_gn`` read one upward image
+  X_{g,n} = sum_r 12^r / (g-r)! p_3^(g-r) P_{r,n}: the generating
+  polynomial is H^{-1}(X) / 24^g, the correlator coefficients are
+  Gamma(mu) X_mu / 12^g (the Kostka numbers cancel);
+* ``wn_det_truncated`` produces all genera of a correlator at once from
+  a truncated determinant.
+
+``q_coeff`` keeps the determinant itself as the paper's form of Q and as
+a test oracle; no production path evaluates it.
 """
 
 import math
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int, gamma_half_ratio
-from .partitions import format_partition, hook_numbers, partition_class, ptrim
+from .partitions import format_partition, hook_numbers, ptrim
 from .hop import HContext, _dden, _gnum
 from . import oracle as oracle_mod
 from .pengine import DTable, degree_rn, r_max
@@ -29,12 +41,6 @@ from .sympoly import (
     kostka_column,
     power_sum_times_schur,
 )
-
-_Q_CACHE = {}
-
-
-def clear_q_cache():
-    _Q_CACHE.clear()
 
 
 def _bareiss_det(m):
@@ -96,7 +102,8 @@ def _q_matrix(nu, mu, n):
 
 def q_coeff(nu, mu, n):
     """Q_{nu,mu} = <p_3^k s_nu, s_mu> / k! with 3k = |mu| - |nu|, evaluated
-    as the gated reciprocal-factorial determinant."""
+    as the gated reciprocal-factorial determinant (the paper's form; the
+    production paths use the ribbon chains instead)."""
     nu = ptrim(nu)
     mu = ptrim(mu)
     if max(len(nu), len(mu)) > n:
@@ -104,15 +111,59 @@ def q_coeff(nu, mu, n):
     diff = sum(mu) - sum(nu)
     if diff < 0 or diff % 3:
         return RAT_ZERO
-    key = (nu, mu, n)
-    val = _Q_CACHE.get(key)
-    if val is None:
-        val = _Q_CACHE[key] = _bareiss_det(_q_matrix(nu, mu, n))
-    return val
+    return _bareiss_det(_q_matrix(nu, mu, n))
+
+
+def _tables(g, n, dtable, a_provider):
+    """The table holding P_{r,n} for every r <= top = min(g, r_max(n)),
+    bootstrapping missing blocks through ``a_provider`` (default: the
+    oracle's generating polynomials); returns (dtable, top)."""
+    if dtable is None:
+        dtable = DTable()
+    if a_provider is None:
+        a_provider = lambda gg: oracle_mod.a_gn_oracle(gg, n)
+    top = min(g, r_max(n))
+    dtable.ensure_upto(top, n, a_provider)
+    return dtable, top
+
+
+def _lower_ribbons(w):
+    """p_3^perp on an integer Schur combination keyed by beta numbers
+    (strictly decreasing shifted rows): lower one bead by 3 onto a free
+    non-negative position, the sign counting the beads jumped over."""
+    out = {}
+    for beta, c in w.items():
+        n = len(beta)
+        for i, b in enumerate(beta):
+            t = b - 3
+            if t < 0:
+                break
+            j = i + 1
+            while j < n and beta[j] > t:
+                j += 1
+            if j < n and beta[j] == t:
+                continue
+            key = beta[:i] + beta[i + 1 : j] + (t,) + beta[j:]
+            out[key] = out.get(key, 0) + (-c if (j - i - 1) & 1 else c)
+    return {k: v for k, v in out.items() if v}
+
+
+def _runner_counts(beta):
+    """Beads on each runner of the 3-abacus, which fix the 3-core."""
+    counts = [0, 0, 0]
+    for b in beta:
+        counts[b % 3] += 1
+    return tuple(counts)
 
 
 def tau(g, d, dtable=None, a_provider=None):
     """Intersection number <tau_{d_1} ... tau_{d_n}>_g by the closed formula.
+
+    The Q sums are read off the adjoint ribbon chain of the index's Kostka
+    column: with W_0 = sum_mu K_{mu,lam} G(mu) s_mu and
+    W_{k+1} = p_3^perp W_k,
+
+        tau = sum_r 12^r / (g-r)! <P_{r,n}, W_{g-r}> / (dden(lam) 24^g).
 
     n = 1, 2 delegate to the recursion oracle (the determinantal chain
     behind the coefficient tables starts at three points).  Missing table
@@ -130,54 +181,64 @@ def tau(g, d, dtable=None, a_provider=None):
     if n <= 2:
         return oracle_mod.virasoro_tau(g, d)
     lam = tuple(sorted(d, reverse=True))
-    if dtable is None:
-        dtable = DTable()
-    if a_provider is None:
-        a_provider = lambda gg: oracle_mod.a_gn_oracle(gg, n)
-    top = min(g, r_max(n))
-    dtable.ensure_upto(top, n, a_provider)
+    dtable, top = _tables(g, n, dtable, a_provider)
 
-    col = kostka_column(lam, n)  # mu >= lam with K_{mu,lam} != 0
+    # mu >= lam with K_{mu,lam} != 0, as integers keyed by beta numbers.
+    # Ribbon moves keep the 3-core, i.e. the bead count on each runner of
+    # the 3-abacus, so only shapes whose count some table entry shares can
+    # reach a block.
+    cores = {
+        _runner_counts(hook_numbers(nu, n))
+        for r in range(top + 1)
+        for nu in dtable.get(r, n)
+    }
+    w = {}
+    for mu, kos in kostka_column(lam, n).items():
+        beta = hook_numbers(mu, n)
+        if _runner_counts(beta) in cores:
+            w[beta] = kos * _gnum(mu)
     total = RAT_ZERO
-    for r in range(top + 1):
-        block = dtable.get(r, n)
-        if not block:
-            continue
-        sub = RAT_ZERO
-        for mu, k in col.items():
-            qsum = RAT_ZERO
-            for nu, dv in block.items():
-                q = q_coeff(nu, mu, n)
-                if q:
-                    qsum += dv * q
-            if qsum:
-                sub += qsum * k * _gnum(mu)
-        total += (12 ** r) * sub
+    for k in range(g + 1):
+        r = g - k
+        if r <= top:
+            dot = RAT_ZERO
+            for nu, dv in dtable.get(r, n).items():
+                c = w.get(hook_numbers(nu, n))
+                if c:
+                    dot += dv * c
+            if dot:
+                total += Rat(12 ** r, math.factorial(k)) * dot
+        if k < g:
+            w = _lower_ribbons(w)
+            if not w:
+                break
     return total / (_dden(lam) * 24 ** g)
+
+
+def _schur_image(g, n, dtable, top):
+    """X_{g,n} = sum_{r<=top} 12^r / (g-r)! p_3^(g-r) P_{r,n} in the Schur
+    basis, by Horner's rule in p_3 (g ribbon steps in all)."""
+    x = SymPoly.zero(n, SCHUR)
+    for r in range(top + 1):
+        if r:
+            x = power_sum_times_schur(x, 3)
+        x = x + dtable.p_rn(r, n).scale(Rat(12 ** r, math.factorial(g - r)))
+    for _ in range(g - top):
+        x = power_sum_times_schur(x, 3)
+    return x
 
 
 def a_gn(g, n, basis=MONOMIAL, dtable=None, a_provider=None):
     """Generating polynomial A_{g,n} through the coefficient tables:
-    24^g A_{g,n} = sum_r 12^r / (g-r)! H^{-1}(p_3^(g-r) P_{r,n})."""
+    24^g A_{g,n} = H^{-1}(X_{g,n}) with X_{g,n} = sum_r 12^r / (g-r)!
+    p_3^(g-r) P_{r,n}."""
     if n < 1 or 2 * g - 2 + n <= 0:
         raise ValueError("inadmissible (g, n) = (%d, %d)" % (g, n))
     if n <= 2:
         return oracle_mod.a_gn_oracle(g, n).change_basis(basis)
-    if dtable is None:
-        dtable = DTable()
-    if a_provider is None:
-        a_provider = lambda gg: oracle_mod.a_gn_oracle(gg, n)
-    top = min(g, r_max(n))
-    dtable.ensure_upto(top, n, a_provider)
-    hop = HContext(n)
-    acc = SymPoly.zero(n, MONOMIAL)
-    for r in range(top + 1):
-        term = dtable.p_rn(r, n)
-        for _ in range(g - r):
-            term = power_sum_times_schur(term, 3)
-        c = Rat(12 ** r, math.factorial(g - r))
-        acc = acc + hop.apply_inverse(term).scale(c)
-    return acc.scale(Rat(1, 24 ** g)).change_basis(basis)
+    dtable, top = _tables(g, n, dtable, a_provider)
+    x = _schur_image(g, n, dtable, top)
+    return HContext(n).apply_inverse(x).scale(Rat(1, 24 ** g)).change_basis(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -230,31 +291,18 @@ class Correlator:
 
 def w_gn(g, n, dtable=None, a_provider=None):
     """Correlator coefficients straight from the tables: the Kostka numbers
-    cancel, leaving c_mu = sum_r 12^(r-g) GammaRatio(mu) sum_nu D Q."""
+    cancel, leaving c_mu = GammaRatio(mu) X_mu / 12^g with X = X_{g,n} the
+    Schur image that also gives :func:`a_gn`."""
     if n < 3 or 2 * g - 2 + n <= 0:
         raise ValueError("correlator tables start at n = 3")
-    if dtable is None:
-        dtable = DTable()
-    if a_provider is None:
-        a_provider = lambda gg: oracle_mod.a_gn_oracle(gg, n)
-    top = min(g, r_max(n))
-    dtable.ensure_upto(top, n, a_provider)
+    dtable, top = _tables(g, n, dtable, a_provider)
+    scale = Rat(1, 12 ** g)
     coeffs = {}
-    for mu in partition_class(degree_rn(g, n), n):
+    for mu, x in _schur_image(g, n, dtable, top).terms.items():
         gam = RAT_ONE
         for i, m_i in enumerate(mu + (0,) * (n - len(mu)), start=1):
             gam *= gamma_half_ratio(5 - 2 * i, m_i)
-        total = RAT_ZERO
-        for r in range(top + 1):
-            sub = RAT_ZERO
-            for nu, dv in dtable.get(r, n).items():
-                q = q_coeff(nu, mu, n)
-                if q:
-                    sub += dv * q
-            if sub:
-                total += sub * Rat(12) ** (r - g)
-        if total:
-            coeffs[mu] = gam * total
+        coeffs[mu] = gam * x * scale
     return Correlator(g, n, coeffs)
 
 
@@ -267,12 +315,7 @@ def wn_det_truncated(n, g_max, dtable=None, a_provider=None):
     where contributions stop reaching degree <= 3 g_max - 3 + n."""
     if n < 3:
         raise ValueError("correlator tables start at n = 3")
-    if dtable is None:
-        dtable = DTable()
-    if a_provider is None:
-        a_provider = lambda gg: oracle_mod.a_gn_oracle(gg, n)
-    top = min(g_max, r_max(n))
-    dtable.ensure_upto(top, n, a_provider)
+    dtable, top = _tables(g_max, n, dtable, a_provider)
     acc = SymPoly.zero(n, MONOMIAL)
     for r in range(top + 1):
         block = dtable.get(r, n)

@@ -20,7 +20,9 @@ All class-level caches are populated once per key and then only read,
 so concurrent readers are safe under the usual single-writer rule.
 """
 
+import math
 from itertools import permutations
+from operator import add
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, rat_from_str
 from .partitions import (
@@ -268,21 +270,21 @@ class ExponentPoly:
         return ExponentPoly(self.n, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
+        """Exact product, accumulated in integers over the two common
+        denominators and reduced once per output term."""
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        a, b = self.terms, other.terms
+        da, a = _integer_terms(self.terms)
+        db, b = _integer_terms(other.terms)
         if len(a) > len(b):
             a, b = b, a
         out = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                w = out.get(k, RAT_ZERO) + va * vb
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        return ExponentPoly(self.n, out)
+        for ka, va in a:
+            for kb, vb in b:
+                k = tuple(map(add, ka, kb))
+                out[k] = out.get(k, 0) + va * vb
+        den = da * db
+        return ExponentPoly(self.n, {k: Rat(v, den) for k, v in out.items() if v})
 
     def evaluate(self, point):
         if len(point) != self.n:
@@ -328,8 +330,6 @@ class ExponentPoly:
         Verifies symmetry: every orbit must be fully present with one
         common coefficient.
         """
-        import math
-
         reps = {}
         seen = {}
         for k, v in self.terms.items():
@@ -350,6 +350,12 @@ class ExponentPoly:
             if count != orbit:
                 raise ValueError("polynomial is not symmetric")
         return SymPoly(self.n, MONOMIAL, reps)
+
+
+def _integer_terms(terms):
+    """(den, [(key, int)]) with each coefficient equal to int / den."""
+    den = math.lcm(*(int(v.denominator) for v in terms.values()))
+    return den, [(k, int(v.numerator) * (den // int(v.denominator))) for k, v in terms.items()]
 
 
 def _distinct_permutations(padded):
@@ -491,9 +497,6 @@ class SymPoly:
         )
 
     # -- structure ------------------------------------------------------
-
-    def degree_of_key(self, k):
-        return sum(k)
 
     def homogeneous_components(self):
         """Split into {degree: SymPoly}; exact for every basis."""

@@ -62,6 +62,8 @@ def test_dtable_idempotent_and_verify(tmp_path):
     code, out = run_cli(["verify", "--g-max", "2", "--n-max", "4"], tmp_path)
     assert code == 0
     assert "0 mismatches" in out
+    code, out = run_cli(["verify", "--g-max", "1", "--n-max", "4"], tmp_path)
+    assert code == 0 and "0 mismatches" in out
 
 
 def test_verify_detects_poisoned_cache(tmp_path):
@@ -73,11 +75,6 @@ def test_verify_detects_poisoned_cache(tmp_path):
     code, out = run_cli(["verify", "--g-max", "1", "--n-max", "3"], tmp_path)
     assert code == 1
     assert "MISMATCH" in out
-
-
-def test_verify_threaded(tmp_path):
-    code, out = run_cli(["--threads", "4", "verify", "--g-max", "1", "--n-max", "4"], tmp_path)
-    assert code == 0 and "0 mismatches" in out
 
 
 def test_elo_counts(tmp_path):

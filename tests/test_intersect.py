@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from wkintersect.rational import Rat
-from wkintersect import oracle
+from wkintersect.rational import Rat, gamma_half_ratio
+from wkintersect import hop, oracle, sympoly
+from wkintersect.hop import HContext, _dden, _gnum
 from wkintersect.intersect import (
     Correlator,
     a_gn,
@@ -16,8 +17,8 @@ from wkintersect.intersect import (
     _bareiss_det,
 )
 from wkintersect.partitions import dominates, partition_class
-from wkintersect.pengine import degree_rn
-from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly
+from wkintersect.pengine import degree_rn, r_max
+from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly, kostka_column
 
 
 def provider(n):
@@ -112,11 +113,85 @@ def test_tau_matches_oracle_small_sweep(dtable):
 
 def test_tau_mu_sum_dominance():
     # every Kostka column entry used by the formula dominates its index
-    from wkintersect.sympoly import kostka_column
-
     for lam in partition_class(6, 4):
         for mu in kostka_column(lam, 4):
             assert dominates(mu, lam)
+
+
+def _paper_sums(g, n, dtable, mus):
+    """{mu: sum_r 12^r sum_nu D_{r,n}(nu) Q_{nu,mu}} with Q the gated
+    determinant: the paper's expression, sharing no code with the chains."""
+    top = min(g, r_max(n))
+    dtable.ensure_upto(top, n, provider(n))
+    out = {}
+    for mu in mus:
+        total = Rat(0)
+        for r in range(top + 1):
+            for nu, dv in dtable.get(r, n).items():
+                total += 12 ** r * dv * q_coeff(nu, mu, n)
+        out[mu] = total
+    return out
+
+
+def _tau_from_sums(g, lam, n, sums):
+    col = kostka_column(lam, n)
+    total = sum(sums[mu] * k * _gnum(mu) for mu, k in col.items())
+    return total / (_dden(lam) * 24 ** g)
+
+
+def _w_gn_from_sums(g, n, sums):
+    coeffs = {}
+    for mu, total in sums.items():
+        gam = Rat(1)
+        for i, m_i in enumerate(mu + (0,) * (n - len(mu)), start=1):
+            gam *= gamma_half_ratio(5 - 2 * i, m_i)
+        if total:
+            coeffs[mu] = gam * total / 12 ** g
+    return coeffs
+
+
+def test_chains_equal_the_paper_formula(dtable):
+    # tau and w_gn run ribbon chains; the paper writes the same sums with
+    # the gated Q determinants
+    cases = [(n, g) for n in (3, 4) for g in range(4)] + [(5, g) for g in range(3)]
+    for n, g in cases:
+        if 2 * g - 2 + n <= 0:
+            continue
+        sums = _paper_sums(g, n, dtable, partition_class(degree_rn(g, n), n))
+        for lam in partition_class(degree_rn(g, n), n):
+            full = lam + (0,) * (n - len(lam))
+            assert tau(g, full, dtable) == _tau_from_sums(g, lam, n, sums), (g, full)
+        assert w_gn(g, n, dtable).coeffs == _w_gn_from_sums(g, n, sums), (g, n)
+    for g, lam in ((2, (2, 2, 2, 1, 1, 1)), (3, (2, 2, 2, 2, 2, 2))):
+        sums = _paper_sums(g, 6, dtable, kostka_column(lam, 6))
+        assert tau(g, lam, dtable) == _tau_from_sums(g, lam, 6, sums), (g, lam)
+
+
+def test_extreme_indices_follow_the_string_equation(dtable):
+    # <tau_0^(n-1) tau_(3g-3+n)>_g = <tau_(3g-2)>_g = 1/(24^g g!): one shape
+    # runs the whole chain down to the tables
+    for n in (3, 4, 5):
+        for g in (20, 30, 40):
+            d = (degree_rn(g, n),) + (0,) * (n - 1)
+            assert tau(g, d, dtable) == Rat(1, 24 ** g * math.factorial(g)), (g, n)
+
+
+def test_clear_caches_empties_every_formula_memo(dtable):
+    tau(3, (3, 2, 2, 2, 2), dtable)
+    a_gn(2, 5, MONOMIAL, dtable)
+    HContext(5).apply_inverse_elementary((2, 1))
+    memos = (
+        hop._GNUM,
+        hop._DDEN,
+        hop._KOSTKA_ROWS,
+        sympoly._KOSTKA_COLUMNS,
+        sympoly._DUAL_COLUMNS,
+        sympoly._INV_KOSTKA_ROWS,
+    )
+    assert all(memos)
+    hop.clear_caches()
+    assert not any(memos)
+    assert partition_class.cache_info().currsize == 0
 
 
 # -- generating polynomials ----------------------------------------------
