@@ -3,8 +3,9 @@ polynomials, coefficient-table management, oracle cross-verification,
 the elementary-basis support report and a scaling benchmark.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error,
-3 I/O error.  All output is deterministic for a fixed configuration and
-cache state (timings excepted).
+3 I/O error, 4 internal limit (recursion depth or memory exhausted).
+All output is deterministic for a fixed configuration and cache state
+(timings excepted).
 """
 
 import argparse
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_DOMAIN = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 BASIS_NAMES = {
     "m": "m",
@@ -114,8 +116,15 @@ def cmd_dtable(args, out):
         lock_path = path + ".lock"
         with open(lock_path, "w") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            table.save(path)
-    except OSError as exc:
+            # another writer may have saved since the load above: keep its blocks
+            if os.path.exists(path):
+                for key, block in DTable.load(path).blocks.items():
+                    table.blocks.setdefault(key, block)
+            table.counted = True
+            tmp = path + ".tmp"
+            table.save(tmp)
+            os.replace(tmp, path)
+    except (OSError, ValueError) as exc:
         sys.stderr.write("cannot write %s: %s\n" % (path, exc))
         return EXIT_IO
     out.write("wrote %s (%d blocks)\n" % (path, len(table.blocks)))
@@ -290,6 +299,9 @@ def main(argv=None, out=None):
     except OSError as exc:
         sys.stderr.write("i/o error: %s\n" % (exc,))
         return EXIT_IO
+    except (RecursionError, MemoryError) as exc:
+        sys.stderr.write("error: internal limit reached: %s\n" % (type(exc).__name__,))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,27 +11,19 @@ with the combinatorial weight
     N_{mu,lam} = 2^{|lam|} prod_i [prod_{j<=mu_i} (j - i + 3/2)] / (2 lam_i + 1)!!
 
 which reduces to the ratio of two integers, one depending on each
-partition.  A raw differential realization (Vandermonde of derivatives
-acting on sqrt(e_n) times the input) is kept for low-degree
-cross-checks; the matrix route is the production path, implemented as
-triangular solves against Kostka columns so no weight-class matrix is
-ever inverted.
+partition.  The production path is therefore a diagonal scaling on each
+side of the monomial/Schur base change of :mod:`sympoly`.  A raw
+differential realization (Vandermonde of derivatives acting on
+sqrt(e_n) times the input) is kept for low-degree cross-checks.
 """
 
 import math
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int
-from .partitions import partition_class, ptrim, transpose
+from .partitions import partition_class, ptrim
 from . import laurent
 from . import sympoly
-from .sympoly import (
-    MONOMIAL,
-    SCHUR,
-    SymPoly,
-    dual_kostka_column,
-    kostka_column,
-    solve_kostka_transpose,
-)
+from .sympoly import MONOMIAL, SCHUR, SymPoly, dual_kostka_column, kostka_column
 
 _GNUM = {}   # mu -> prod_i prod_{j<=mu_i} (2(j-i)+3), an integer
 _DDEN = {}   # lam -> prod_i (2 lam_i + 1)!!
@@ -89,42 +81,25 @@ class HContext:
         return barnes_constant(self.n)
 
     def apply(self, poly):
-        """H(poly), returned in the Schur basis.
-
-        With X the Schur coefficients of the image and a the monomial
-        coefficients of the input, H^{-1} gives a_lam = sum K~_{mu,lam} X_mu;
-        scaling by the integer split of N turns this into a unitriangular
-        Kostka system solved class by class.
-        """
+        """H(poly), returned in the Schur basis: each monomial coefficient
+        times dden(lam), the change to the Schur basis, then each Schur
+        coefficient divided by gnum(mu)."""
         if poly.n != self.n:
             raise ValueError("variable count mismatch")
-        a = poly.change_basis(MONOMIAL)
-        out = {}
-        for d, comp in a.homogeneous_components().items():
-            b = {lam: c * _dden(lam) for lam, c in comp.terms.items()}
-            z = solve_kostka_transpose(d, self.n, b)
-            for mu, v in z.items():
-                out[mu] = v / _gnum(mu)
-        return SymPoly(self.n, SCHUR, out)
+        a = poly.change_basis(MONOMIAL).terms
+        b = SymPoly(self.n, MONOMIAL, {lam: c * _dden(lam) for lam, c in a.items()})
+        z = b.change_basis(SCHUR).terms
+        return SymPoly(self.n, SCHUR, {mu: v / _gnum(mu) for mu, v in z.items()})
 
     def apply_inverse(self, poly):
-        """H^{-1}(poly), returned in the monomial basis."""
+        """H^{-1}(poly), returned in the monomial basis: the mirror of
+        :meth:`apply`."""
         if poly.n != self.n:
             raise ValueError("variable count mismatch")
-        y = poly.change_basis(SCHUR)
-        out = {}
-        for d, comp in y.homogeneous_components().items():
-            z = {mu: c * _gnum(mu) for mu, c in comp.terms.items()}
-            for lam in partition_class(d, self.n):
-                col = kostka_column(lam, self.n)
-                acc = RAT_ZERO
-                for mu, zv in (z if len(z) < len(col) else col).items():
-                    other = col.get(mu) if len(z) < len(col) else z.get(mu)
-                    if other:
-                        acc += zv * other
-                if acc:
-                    out[lam] = acc / _dden(lam)
-        return SymPoly(self.n, MONOMIAL, out)
+        y = poly.change_basis(SCHUR).terms
+        z = SymPoly(self.n, SCHUR, {mu: c * _gnum(mu) for mu, c in y.items()})
+        b = z.change_basis(MONOMIAL).terms
+        return SymPoly(self.n, MONOMIAL, {lam: v / _dden(lam) for lam, v in b.items()})
 
     def apply_inverse_elementary(self, lam):
         """H^{-1}(e_lam) through the double Kostka sum

@@ -250,6 +250,9 @@ class DTable:
 
     def __init__(self):
         self.blocks = {}
+        # block headers carry their term count; a table loaded from a file
+        # without counts writes none, so it re-serialises to the same bytes
+        self.counted = True
 
     def has(self, r, n):
         return (r, n) in self.blocks
@@ -299,8 +302,9 @@ class DTable:
             if not first:
                 lines.append("")
             first = False
-            lines.append("n=%d r=%d" % (n, r))
             block = self.blocks[(r, n)]
+            head = "n=%d r=%d" % (n, r)
+            lines.append(head + " terms=%d" % len(block) if self.counted else head)
             for nu in sorted(block, reverse=True):
                 lines.append("%s %s" % (format_partition(nu), block[nu]))
         return "\n".join(lines) + "\n"
@@ -312,16 +316,27 @@ class DTable:
 
     @classmethod
     def loads(cls, data):
+        """Parse the file form.  A block header ``n=N r=R terms=T`` must be
+        followed by exactly T coefficient lines and the data must end in a
+        newline, so a truncated file is rejected instead of loading as a
+        smaller block.  Headers without a term count still load."""
         lines = data.splitlines()
         if not lines or lines[0] != FILE_HEADER:
             raise ValueError("unrecognized table header")
+        if not data.endswith("\n"):
+            raise ValueError("truncated table: no final newline")
         table = cls()
-        cur = None
+        cur = want = None
         coeffs = {}
 
         def flush():
-            if cur is not None:
-                table.put(cur[0], cur[1], coeffs)
+            if cur is None:
+                return
+            if want is not None and want != len(coeffs):
+                raise ValueError(
+                    "block (r=%d, n=%d) has %d of %d terms" % (cur + (len(coeffs), want))
+                )
+            table.put(cur[0], cur[1], coeffs)
 
         for line in lines[1:]:
             line = line.strip()
@@ -329,8 +344,10 @@ class DTable:
                 continue
             if line.startswith("n="):
                 flush()
-                ntok, rtok = line.split()
+                ntok, rtok, *ttok = line.split()
                 cur = (int(rtok[2:]), int(ntok[2:]))
+                want = int(ttok[0].removeprefix("terms=")) if ttok else None
+                table.counted = table.counted and bool(ttok)
                 coeffs = {}
             else:
                 ptok, vtok = line.split()

@@ -8,13 +8,14 @@ Three bases are supported, tagged by a single letter:
   partitions whose parts are at most n (any number of rows);
 * ``s`` Schur polynomials, indexed like ``m``.
 
-Base changes go through the Kostka matrix K (s -> m) and its inverse
-(m -> s), and through the transposed-shape Kostka numbers for the
-elementary basis.  Kostka data is produced column-wise by iterated
-Pieri growth (adding horizontal strips) and, for the dual transitions,
-by vertical-strip growth; triangular systems against those columns
-replace any explicit matrix inversion, which keeps the large weight
-classes tractable.
+Monomial and Schur bases are exchanged through the rows of the inverse
+Kostka matrix, read off the bialternant: the s_mu coefficient of f is
+the coefficient of x^(mu+delta) in a_delta * f, so each row is a signed
+walk over the distinct rearrangements of one partition.  Schur to
+monomial eliminates against those same rows.  The elementary basis goes
+through the transposed-shape Kostka numbers, grown by vertical strips.
+Kostka columns themselves (horizontal-strip Pieri growth) serve the
+questions that really are Kostka columns.
 
 All class-level caches are populated once per key and then only read,
 so concurrent readers are safe under the usual single-writer rule.
@@ -153,62 +154,49 @@ def kostka(mu, lam):
 
 def inverse_kostka_row(lam, nrows):
     """Row lam of K^{-1}: the coefficients S_{lam,mu} with m_lam =
-    sum_mu S_{lam,mu} s_mu, solved against Kostka columns."""
+    sum_mu S_{lam,mu} s_mu, the coefficients of x^(mu+delta) in
+    a_delta * m_lam.  Each distinct rearrangement alpha of lam whose
+    beta = alpha + delta has distinct entries adds the sign of sorting
+    beta to mu = sort(beta) - delta; the walk stops at the first
+    collision."""
     key = (lam, nrows)
     row = _INV_KOSTKA_ROWS.get(key)
     if row is None:
-        cls = partition_class(sum(lam), nrows)
-        start = cls.index(lam)
-        row = {}
-        for p in range(start, len(cls)):
-            lamp = cls[p]
-            col = kostka_column(lamp, nrows)
-            acc = 1 if lamp == lam else 0
-            for mu, x in row.items():
-                k = col.get(mu)
-                if k:
-                    acc -= x * k
-            if acc:
-                row[lamp] = acc
-        _INV_KOSTKA_ROWS[key] = row
+        left = {}
+        for part in lam + (0,) * (nrows - len(lam)):
+            left[part] = left.get(part, 0) + 1
+        beta = []
+        acc = {}
+
+        def walk(shift, inv):
+            if shift < 0:
+                srt = sorted(beta, reverse=True)
+                mu = ptrim([b - nrows + 1 + j for j, b in enumerate(srt)])
+                acc[mu] = acc.get(mu, 0) + (-1 if inv & 1 else 1)
+                return
+            for part, k in left.items():
+                b = part + shift
+                if k and b not in beta:
+                    left[part] = k - 1
+                    beta.append(b)
+                    walk(shift - 1, inv + sum(1 for x in beta if x < b))
+                    beta.pop()
+                    left[part] = k
+
+        walk(nrows - 1, 0)
+        row = _INV_KOSTKA_ROWS[key] = {mu: s for mu, s in acc.items() if s}
     return row
 
 
 def inverse_kostka(lam, mu):
-    """Entry S_{lam,mu} of the inverse Kostka matrix (integer)."""
+    """Entry S_{lam,mu} of the inverse Kostka matrix (integer); it does
+    not depend on the number of rows once both partitions fit."""
     lam = ptrim(lam)
     mu = ptrim(mu)
     if sum(lam) != sum(mu):
         raise ValueError("inverse Kostka needs equal weights: %r vs %r" % (lam, mu))
-    nrows = max(sum(lam), 1)
+    nrows = max(len(lam), len(mu), 1)
     return inverse_kostka_row(lam, nrows).get(mu, 0)
-
-
-def solve_kostka_transpose(degree, nrows, b):
-    """Solve b_lam = sum_{mu >= lam} K_{mu,lam} Z_mu for Z on a weight class.
-
-    K is unitriangular for the dominance order, which any descending
-    lexicographic listing refines, so a single forward pass suffices.
-    """
-    cls = partition_class(degree, nrows)
-    z = {}
-    for lam in cls:
-        col = kostka_column(lam, nrows)
-        acc = b.get(lam, 0)
-        if len(col) < len(z):
-            for mu, k in col.items():
-                if mu != lam:
-                    zm = z.get(mu)
-                    if zm is not None:
-                        acc -= k * zm
-        else:
-            for mu, zm in z.items():
-                k = col.get(mu)
-                if k:
-                    acc -= k * zm
-        if acc:
-            z[lam] = acc
-    return z
 
 
 def clear_caches():
@@ -563,29 +551,32 @@ class SymPoly:
         return self.change_basis(SCHUR).change_basis(target)
 
     def _schur_to_monomial(self):
+        """Unitriangular elimination against rows of K^{-1}.
+
+        m_lam = s_lam + sum_{mu < lam} S_{lam,mu} s_mu, so walking the class
+        in reverse-lex order and subtracting one row per emitted coefficient
+        inverts the relation, in integers over one common denominator.
+        """
+        den, items = _integer_terms(self.terms)
+        residual = dict(items)
         out = {}
-        for d, comp in self.homogeneous_components().items():
+        for d in sorted({sum(k) for k in residual}):
             for lam in partition_class(d, self.n):
-                col = kostka_column(lam, self.n)
-                acc = RAT_ZERO
-                for mu, c in comp.terms.items():
-                    k = col.get(mu)
-                    if k:
-                        acc += k * c
-                if acc:
-                    out[lam] = acc
+                c = residual.get(lam)
+                if not c:
+                    continue
+                for mu, s in inverse_kostka_row(lam, self.n).items():
+                    residual[mu] = residual.get(mu, 0) - c * s
+                out[lam] = Rat(c, den)
         return SymPoly(self.n, MONOMIAL, out)
 
     def _monomial_to_schur(self):
+        den, items = _integer_terms(self.terms)
         out = {}
-        for lam, c in self.terms.items():
+        for lam, c in items:
             for mu, s in inverse_kostka_row(lam, self.n).items():
-                w = out.get(mu, RAT_ZERO) + c * s
-                if w:
-                    out[mu] = w
-                elif mu in out:
-                    del out[mu]
-        return SymPoly(self.n, SCHUR, out)
+                out[mu] = out.get(mu, 0) + c * s
+        return SymPoly(self.n, SCHUR, {mu: Rat(v, den) for mu, v in out.items() if v})
 
     def _elementary_to_schur(self):
         out = {}

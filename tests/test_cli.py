@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from wkintersect import cli
+from wkintersect.pengine import DTable, r_max
 
 
 def run_cli(args, cache_dir):
@@ -75,6 +76,28 @@ def test_verify_detects_poisoned_cache(tmp_path):
     code, out = run_cli(["verify", "--g-max", "1", "--n-max", "3"], tmp_path)
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_concurrent_dtable_writers_keep_both_block_sets(tmp_path):
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "wkintersect.cli", "--cache-dir", str(tmp_path), "dtable", "-n", n],
+            stdout=subprocess.DEVNULL,
+        )
+        for n in ("4", "5")
+    ]
+    assert [p.wait(timeout=300) for p in procs] == [0, 0]
+    table = DTable.load(tmp_path / "dtable.txt")
+    want = {(r, n) for n in (4, 5) for r in range(r_max(n) + 1)}
+    assert set(table.blocks) == want
+
+
+def test_internal_limit_exit_code(tmp_path, capsys):
+    code, out = run_cli(["tau", "--genus", "700", "--powers", "2098"], tmp_path)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_elo_counts(tmp_path):

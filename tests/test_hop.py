@@ -5,7 +5,7 @@ import pytest
 from wkintersect.rational import Rat, double_factorial_odd_int
 from wkintersect.partitions import enumerate_partitions, partition_class
 from wkintersect.hop import HContext, barnes_constant, n_factor
-from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly
+from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly, kostka
 
 
 def random_sympoly(n, degrees, rng):
@@ -143,6 +143,18 @@ def test_inverse_elementary():
                     SymPoly.basis_element(ELEMENTARY, lam, n).change_basis(SCHUR)
                 )
                 assert via_formula == via_chain, (n, lam)
+
+
+def test_inverse_against_strip_grown_kostka():
+    """H^{-1}(s_mu) = sum_lam N_{mu,lam} K_{mu,lam} m_lam, both sides from
+    Kostka numbers grown by horizontal strips, not from rows of K^{-1}."""
+    for n in range(1, 6):
+        h = HContext(n)
+        for d in range(0, 10):
+            cls = partition_class(d, n)
+            for mu in cls:
+                want = SymPoly(n, MONOMIAL, {lam: n_factor(mu, lam) * kostka(mu, lam) for lam in cls})
+                assert h.apply_inverse(SymPoly.basis_element(SCHUR, mu, n)) == want, (n, mu)
 
 
 def test_degree_preservation():

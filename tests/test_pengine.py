@@ -136,6 +136,45 @@ def test_dtable_header_validation(tmp_path):
         DTable.load(p)
 
 
+def _golden_table():
+    t = DTable()
+    for (r, n), block in TABLE_SCHUR.items():
+        t.put(r, n, as_terms(block))
+    return t
+
+
+def test_dtable_truncated_at_every_byte():
+    table = _golden_table()
+    data = table.dumps()
+    assert DTable.loads(data) == table
+    sizes = set()
+    for cut in range(len(data)):
+        try:
+            loaded = DTable.loads(data[:cut])
+        except ValueError:
+            continue
+        for key, block in loaded.blocks.items():
+            assert block == table.blocks[key], (cut, key)
+        sizes.add(len(loaded.blocks))
+    # only the cuts at block boundaries load, each the blocks before it
+    assert sizes == set(range(len(table.blocks)))
+
+
+def test_dtable_block_term_count():
+    table = DTable()
+    table.put(1, 3, {(1, 1, 1): Rat(1, 2)})
+    data = table.dumps()
+    assert data == "# dtable v1\nn=3 r=1 terms=1\n1,1,1 1/2\n"
+    with pytest.raises(ValueError):
+        DTable.loads(data.replace("terms=1", "terms=2"))
+    with pytest.raises(ValueError):
+        DTable.loads(data[:-1])
+    # headers without a count load, and write back without one
+    legacy = data.replace(" terms=1", "")
+    assert DTable.loads(legacy) == table
+    assert DTable.loads(legacy).dumps() == legacy
+
+
 def test_dtable_put_validates():
     t = DTable()
     with pytest.raises(ValueError):
