@@ -2,8 +2,10 @@
 polynomials, coefficient-table management, oracle cross-verification,
 the elementary-basis support report and a scaling benchmark.
 
-Exit codes: 0 success, 1 verification mismatch, 2 domain error,
-3 I/O error, 4 internal limit (recursion depth or memory exhausted).
+Exit codes: 0 success, 1 verification mismatch, 2 domain error (an
+input out of range or beyond the admission budget), 3 I/O error,
+4 internal failure (recursion depth or memory exhausted, or any other
+unexpected exception).
 All output is deterministic for a fixed configuration and cache state
 (timings excepted).
 """
@@ -157,6 +159,10 @@ def cmd_verify(args, out):
     return EXIT_MISMATCH if bad else EXIT_OK
 
 
+class BoundViolation(AssertionError):
+    """A table component breaks the elementary-basis length bound."""
+
+
 def elo_rows(n, r_top, table):
     """(r, appearing, allowed) rows: non-vanishing elementary coefficients of
     each homogeneous component against the exact-length count of candidates."""
@@ -168,7 +174,7 @@ def elo_rows(n, r_top, table):
         for lam in poly.terms:
             nu = tuple(x for x in lam if x >= 2)
             if len(nu) > r:
-                raise AssertionError(
+                raise BoundViolation(
                     "length bound violated in component r=%d of n=%d: %r" % (r, n, lam)
                 )
             seen.add(nu)
@@ -191,7 +197,11 @@ def cmd_elo(args, out):
     if not 0 <= r_top <= r_max(args.n):
         raise ValueError("component bound %d out of range for n=%d" % (r_top, args.n))
     table = load_table(args)
-    rows = elo_rows(args.n, r_top, table)
+    try:
+        rows = elo_rows(args.n, r_top, table)
+    except BoundViolation as exc:
+        out.write("MISMATCH %s\n" % (exc,))
+        return EXIT_MISMATCH
     if args.format == "tsv":
         for r, app, allowed in rows:
             out.write("%d\t%d\t%d\n" % (r, app, allowed))
@@ -226,7 +236,8 @@ def cmd_bench(args, out):
             vo = oracle.virasoro_tau(g, d)
             times_o.append(time.perf_counter() - t0)
             if vf != vo:
-                raise AssertionError("benchmark values diverged at g=%d" % g)
+                out.write("MISMATCH g=%d formula=%s oracle=%s\n" % (g, vf, vo))
+                return EXIT_MISMATCH
         out.write(
             "%d\t%.6f\t%.6f\n" % (g, sorted(times_f)[1], sorted(times_o)[1])
         )
@@ -301,6 +312,9 @@ def main(argv=None, out=None):
         return EXIT_IO
     except (RecursionError, MemoryError) as exc:
         sys.stderr.write("error: internal limit reached: %s\n" % (type(exc).__name__,))
+        return EXIT_INTERNAL
+    except Exception as exc:
+        sys.stderr.write("error: internal failure: %s: %s\n" % (type(exc).__name__, exc))
         return EXIT_INTERNAL
 
 

@@ -1,11 +1,30 @@
 """Independent ground truth for intersection numbers.
 
-The Virasoro (string-and-dilaton flavoured) three-term recursion pins
-every value from the two seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24;
-this module evaluates it with aggressive memoization and doubles as the
-reference provider for the generating polynomials.  Closed forms in
-genus 0 and 1 and exact truncations of the classical one-, two- and
-three-point series give further independent anchors.
+The Dijkgraaf-Verlinde-Verlinde (Virasoro) recursion pins every value
+from the two seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; this module
+evaluates it with aggressive memoization and doubles as the reference
+provider for the generating polynomials.  Closed forms in genus 0 and 1
+and exact truncations of the classical one-, two- and three-point series
+give further independent anchors.
+
+The memo holds integers.  For d sorted in descending order it stores
+
+    T(g, d) = 2^(4g-2+n) prod_i (2 d_i + 1)!! <tau_{d_1} ... tau_{d_n}>_g.
+
+The double factorials turn every DVV coefficient into an integer except
+one 1/2, and the exponent 4g-2+n, additive under both splittings,
+absorbs that 1/2 and the seed 1/24 (T(0, (0,0,0)) = 2, T(1, (1,)) = 1).
+Three pivots reduce an index, the first two only while
+``PREFER_STRING_PIVOT`` is set:
+
+* string (last index 0): T = 2 sum_v mult (2v+1) T(g, d with v -> v-1);
+* dilaton (last index 1, no zeros): T(g, S u {1}) = 6 (2g-3+n) T(g, S);
+* largest index piv = k+1: T = sum_v 2 mult (2v+1) T(g, S with v -> v+k)
+  + 4 sum_{a+b=k-1} T(g-1, S u {a,b})
+  + sum_{a+b=k-1} sum_{I u J = S} T(g1, I u {a}) T(g2, J u {b}).
+
+``Fraction`` appears only at the edge: ``virasoro_tau`` and
+``a_gn_oracle`` divide each T by its scale once.
 """
 
 import math
@@ -22,9 +41,9 @@ from .sympoly import (
 
 _MEMO = {}
 
-# when True, an index equal to zero is pivoted first (the recursion then
-# degenerates to the cheap string equation); correctness is independent of
-# the pivot and tested as such
+# when True, a last index of 0 or 1 is pivoted first (the recursion then
+# degenerates to the cheap string or dilaton equation); correctness is
+# independent of the pivot and tested as such
 PREFER_STRING_PIVOT = True
 
 
@@ -74,61 +93,72 @@ def _splits(rest):
     return out
 
 
-def _tau(g, d):
-    """Memoized recursion core; d is a sorted-descending tuple."""
+def _scale(g, d):
+    """2^(4g-2+n) prod_i (2 d_i + 1)!!, the factor T(g, d) carries."""
+    s = 1 << (4 * g - 2 + len(d))
+    for x in d:
+        if x:
+            s *= _dfo(2 * x + 1)
+    return s
+
+
+def _sorted(t):
+    return tuple(sorted(t, reverse=True))
+
+
+def _tn(g, d):
+    """Memoized integer core T(g, d); d is a sorted-descending tuple."""
     n = len(d)
-    if 2 * g - 2 + n <= 0:
-        return RAT_ZERO
-    if sum(d) != dim_target(g, n):
-        return RAT_ZERO
+    if 2 * g - 2 + n <= 0 or sum(d) != dim_target(g, n):
+        return 0
     if g == 0 and d == (0, 0, 0):
-        return RAT_ONE
+        return 2
     if g == 1 and d == (1,):
-        return Rat(1, 24)
+        return 1
     key = (g, d)
     val = _MEMO.get(key)
     if val is not None:
         return val
 
+    rest = d[:-1]
+    if d[-1] == 1 and PREFER_STRING_PIVOT:
+        # dilaton equation
+        total = 6 * (2 * g - 3 + n) * _tn(g, rest)
+        _MEMO[key] = total
+        return total
     if d[-1] == 0 and PREFER_STRING_PIVOT:
-        # string equation: the cheapest admissible pivot
-        rest = d[:-1]
-        total = RAT_ZERO
-        for i, v in enumerate(rest):
-            if v == 0 or (i and rest[i - 1] == v):
-                continue  # skip zeros and repeated values (handled by count)
-            mult = sum(1 for x in rest if x == v)
-            sub = tuple(sorted(rest[:i] + (v - 1,) + rest[i + 1 :], reverse=True))
-            total += mult * _tau(g, sub)
+        # string equation: lower the last copy of each non-zero value, so
+        # the tuple stays sorted
+        total = 0
+        for j, v in enumerate(rest):
+            if v == 0:
+                break
+            if j + 1 < len(rest) and rest[j + 1] == v:
+                continue
+            total += rest.count(v) * (2 * v + 1) * _tn(g, rest[:j] + (v - 1,) + rest[j + 1 :])
+        total *= 2
         _MEMO[key] = total
         return total
 
     # pivot on the largest index
     piv = d[0]
     rest = d[1:]
-    dd_piv = _dfo(2 * piv + 1)
-    total = RAT_ZERO
+    total = 0
 
     # join terms
-    seen = None
-    for i, v in enumerate(rest):
-        if v == seen:
+    for j, v in enumerate(rest):
+        if j + 1 < len(rest) and rest[j + 1] == v:
             continue
-        seen = v
-        mult = sum(1 for x in rest if x == v)
-        coeff = Rat(mult * _dfo(2 * (piv + v) - 1), dd_piv * _dfo(2 * v - 1))
-        sub = tuple(sorted(rest[:i] + (piv + v - 1,) + rest[i + 1 :], reverse=True))
-        total += coeff * _tau(g, sub)
+        sub = _sorted(rest[:j] + (piv + v - 1,) + rest[j + 1 :])
+        total += 2 * rest.count(v) * (2 * v + 1) * _tn(g, sub)
 
     if piv >= 2:
-        splits = _splits(rest) if rest else [(0, 0, (), (), 1)]
+        splits = _splits(rest)
         for a in range(piv - 1):
             b = piv - 2 - a
-            w = Rat(_dfo(2 * a + 1) * _dfo(2 * b + 1), 2 * dd_piv)
             # one connected surface of genus g-1
             if g >= 1:
-                sub = tuple(sorted(rest + (a, b), reverse=True))
-                total += w * _tau(g - 1, sub)
+                total += 4 * _tn(g - 1, _sorted(rest + (a, b)))
             # splittings into two stable pieces; the genus of each side is
             # forced by its degree count
             for s1, c1, i1, i2, ways in splits:
@@ -139,13 +169,13 @@ def _tau(g, d):
                 g2 = g - g1
                 if g1 < 0 or g2 < 0:
                     continue
-                t1 = _tau(g1, tuple(sorted(i1 + (a,), reverse=True)))
+                t1 = _tn(g1, _sorted(i1 + (a,)))
                 if not t1:
                     continue
-                t2 = _tau(g2, tuple(sorted(i2 + (b,), reverse=True)))
+                t2 = _tn(g2, _sorted(i2 + (b,)))
                 if not t2:
                     continue
-                total += w * ways * t1 * t2
+                total += ways * t1 * t2
 
     _MEMO[key] = total
     return total
@@ -159,7 +189,8 @@ def virasoro_tau(g, d):
         raise ValueError("inadmissible (g, n) = (%d, %d)" % (g, n))
     if any(x < 0 for x in d):
         raise ValueError("negative tau index in %r" % (d,))
-    return _tau(g, tuple(sorted(d, reverse=True)))
+    d = _sorted(d)
+    return Rat(_tn(g, d), _scale(g, d))
 
 
 def a_gn_oracle(g, n):
@@ -170,9 +201,10 @@ def a_gn_oracle(g, n):
     d = dim_target(g, n)
     terms = {}
     for lam in partition_class(d, n):
-        v = _tau(g, lam + (0,) * (n - len(lam)))
-        if v:
-            terms[lam] = v
+        full = lam + (0,) * (n - len(lam))
+        t = _tn(g, full)
+        if t:
+            terms[lam] = Rat(t, _scale(g, full))
     return SymPoly(n, MONOMIAL, terms)
 
 

@@ -19,14 +19,19 @@ serialize to identical bytes).
 """
 
 import math
+from itertools import islice
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, rat_from_str
-from .partitions import format_partition, parse_partition, ptrim
+from .partitions import enumerate_partitions, format_partition, parse_partition, ptrim
 from . import laurent
 from .hop import HContext, barnes_constant
 from .sympoly import SCHUR, SymPoly, power_sum_times_schur
 
 FILE_HEADER = "# dtable v1"
+
+# admission budget: the most partitions a bootstrap may enumerate in its top
+# weight class (an n = 7 table up to r = 15 needs 16 475; n = 6 needs 1 729)
+MAX_CLASS_SIZE = 20000
 
 
 def r_max(n):
@@ -56,6 +61,12 @@ def bootstrap_all(r_top, n, a_provider):
     and one incremental p_3-ribbon chain per genus."""
     if not 0 <= r_top <= r_max(n):
         raise ValueError("component index %d out of range for n=%d" % (r_top, n))
+    d = degree_rn(r_top, n)
+    if sum(1 for _ in islice(enumerate_partitions(d, n), MAX_CLASS_SIZE + 1)) > MAX_CLASS_SIZE:
+        raise ValueError(
+            "bootstrap of (r=%d, n=%d) needs more than %d partitions of %d"
+            % (r_top, n, MAX_CLASS_SIZE, d)
+        )
     hop = HContext(n)
     acc = {r: SymPoly.zero(n, SCHUR) for r in range(r_top + 1)}
     for g in range(r_top + 1):

@@ -5,6 +5,7 @@ permutation sums, exponent-level polynomial division.  None of it shares
 code with the production paths.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 from wkintersect.rational import RAT_ONE, Rat
@@ -178,3 +179,60 @@ def _sym_laplace_det(rows):
         return total
 
     return rec(tuple(range(n)), tuple(range(n)))
+
+
+def dvv_fraction(g, d, memo=None):
+    """<tau_{d_1} ... tau_{d_n}>_g by the DVV recursion on Fractions,
+    always pivoting on the largest index and dividing by its double
+    factorial (no string or dilaton shortcut).  ``memo`` may be shared
+    between calls; nothing is shared with the library's oracle."""
+    if memo is None:
+        memo = {}
+    return _dvv(g, tuple(sorted(d, reverse=True)), memo)
+
+
+def _dfact(k):
+    """k!! for odd k >= -1."""
+    p = 1
+    while k > 1:
+        p *= k
+        k -= 2
+    return p
+
+
+def _dvv(g, d, memo):
+    n = len(d)
+    if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
+        return Fraction(0)
+    if g == 0 and d == (0, 0, 0):
+        return Fraction(1)
+    if g == 1 and d == (1,):
+        return Fraction(1, 24)
+    if (g, d) in memo:
+        return memo[(g, d)]
+
+    def sub(gg, parts):
+        return _dvv(gg, tuple(sorted(parts, reverse=True)), memo)
+
+    k = d[0] - 1
+    rest = list(d[1:])
+    total = Fraction(0)
+    for j, v in enumerate(rest):
+        others = rest[:j] + rest[j + 1 :]
+        total += Fraction(_dfact(2 * k + 2 * v + 1), _dfact(2 * v - 1)) * sub(g, others + [v + k])
+    for a in range(k):
+        b = k - 1 - a
+        w = Fraction(_dfact(2 * a + 1) * _dfact(2 * b + 1), 2)
+        if g:
+            total += w * sub(g - 1, rest + [a, b])
+        # every subset of the remaining indices, position by position
+        for mask in range(1 << len(rest)):
+            left = [x for i, x in enumerate(rest) if mask >> i & 1]
+            right = [x for i, x in enumerate(rest) if not mask >> i & 1]
+            # the degree of the left side fixes its genus
+            g1, r = divmod(a + sum(left) - len(left) + 2, 3)
+            if not r and 0 <= g1 <= g:
+                total += w * sub(g1, left + [a]) * sub(g - g1, right + [b])
+    value = total / _dfact(2 * k + 3)
+    memo[(g, d)] = value
+    return value

@@ -1,6 +1,7 @@
 import io
 import subprocess
 import sys
+import time
 
 from wkintersect import cli
 from wkintersect.pengine import DTable, r_max
@@ -78,6 +79,17 @@ def test_verify_detects_poisoned_cache(tmp_path):
     assert "MISMATCH" in out
 
 
+def test_elo_detects_poisoned_cache(tmp_path):
+    run_cli(["dtable", "-n", "4", "--r-max", "1"], tmp_path)
+    path = tmp_path / "dtable.txt"
+    table = DTable.load(path)
+    table.blocks[(1, 4)][(2, 2)] = 1  # e[2,2] breaks len(nu) <= r = 1
+    table.save(path)
+    code, out = run_cli(["elo", "-n", "4", "--r-max", "1"], tmp_path)
+    assert code == cli.EXIT_MISMATCH == 1
+    assert out.startswith("MISMATCH length bound violated in component r=1 of n=4")
+
+
 def test_concurrent_dtable_writers_keep_both_block_sets(tmp_path):
     procs = [
         subprocess.Popen(
@@ -98,6 +110,39 @@ def test_internal_limit_exit_code(tmp_path, capsys):
     assert out == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_admission_budget_exit_code(tmp_path, capsys):
+    # an n = 1500 genus-0 table would enumerate the partitions of 1497
+    powers = ",".join(["1497"] + ["0"] * 1499)
+    t0 = time.perf_counter()
+    code, out = run_cli(["tau", "--genus", "0", "--powers", powers], tmp_path)
+    assert time.perf_counter() - t0 < 2
+    assert code == cli.EXIT_DOMAIN == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_unexpected_exception_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(args, out):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_tau", broken)
+    code, out = run_cli(["tau", "--genus", "0", "--powers", "0,0,0"], tmp_path)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: internal failure: KeyError: 'boom'"]
+
+
+def test_bench_divergence_is_a_mismatch(tmp_path, monkeypatch):
+    from wkintersect import oracle
+
+    monkeypatch.setattr(oracle, "virasoro_tau", lambda g, d: -1)
+    code, out = run_cli(["bench", "-n", "3", "--g-max", "1"], tmp_path)
+    assert code == cli.EXIT_MISMATCH == 1
+    assert out.splitlines()[-1].startswith("MISMATCH g=1 ")
 
 
 def test_elo_counts(tmp_path):

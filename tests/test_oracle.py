@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from brute import dvv_fraction
 from wkintersect.rational import Rat
 from wkintersect.partitions import partition_class
 from wkintersect import oracle
@@ -69,6 +70,64 @@ def test_pivot_independence():
     assert defaults == forced
 
 
+def _indices(n, g_max):
+    for g in range(g_max + 1):
+        if 2 * g - 2 + n > 0:
+            for lam in partition_class(3 * g - 3 + n, n):
+                yield g, lam + (0,) * (n - len(lam))
+
+
+def _sweep():
+    for n in range(1, 6):
+        yield from _indices(n, 8 if n <= 2 else 3)
+
+
+def test_matches_fraction_dvv():
+    # a plain Fraction DVV recursion, largest-index pivot only
+    memo = {}
+    for g, d in _sweep():
+        assert oracle.virasoro_tau(g, d) == dvv_fraction(g, d, memo), (g, d)
+
+
+@pytest.fixture
+def pure_dvv():
+    """The oracle without its string and dilaton shortcuts."""
+    oracle.clear_memo()
+    oracle.PREFER_STRING_PIVOT = False
+    yield
+    oracle.PREFER_STRING_PIVOT = True
+    oracle.clear_memo()
+
+
+def test_string_equation(pure_dvv):
+    for n in range(1, 5):
+        for g, d in _indices(n, 4):
+            want = sum(
+                oracle.virasoro_tau(g, d[:j] + (v - 1,) + d[j + 1 :])
+                for j, v in enumerate(d)
+                if v
+            )
+            assert oracle.virasoro_tau(g, d + (0,)) == want, (g, d)
+
+
+def test_dilaton_equation(pure_dvv):
+    for n in range(1, 5):
+        for g, d in _indices(n, 4):
+            want = (2 * g - 2 + n) * oracle.virasoro_tau(g, d)
+            assert oracle.virasoro_tau(g, d + (1,)) == want, (g, d)
+
+
+def test_integer_core():
+    # T(g, d) = 2^(4g-2+n) prod (2 d_i + 1)!! <tau_d>_g is an int
+    for g, d in _sweep():
+        t = oracle._tn(g, d)
+        assert type(t) is int
+        scale = 2 ** (4 * g - 2 + len(d)) * math.prod(
+            math.prod(range(2 * x + 1, 0, -2)) for x in d
+        )
+        assert Rat(t, scale) == oracle.virasoro_tau(g, d), (g, d)
+
+
 def test_closed_genus_zero():
     for n in range(3, 8):
         assert oracle.a_gn_oracle(0, n) == oracle.closed_a0n(n).change_basis(MONOMIAL)
@@ -82,8 +141,8 @@ def test_closed_genus_one():
 
 
 def test_one_point_series():
-    ref = oracle.series_reference("A1", 10)
-    for g in range(1, 11):
+    ref = oracle.series_reference("A1", 14)
+    for g in range(1, 15):
         want = Rat(1, 24 ** g * math.factorial(g))
         assert ref[g].terms == {(3 * g - 2,): want}
         assert oracle.a_gn_oracle(g, 1).terms == {(3 * g - 2,): want}

@@ -1,15 +1,19 @@
 import random
+import time
 
 import pytest
 
 from golden_tables import TABLE_SCHUR
 from wkintersect.rational import Rat, rat_from_str
-from wkintersect import oracle
+from wkintersect import intersect, oracle
 from wkintersect.hop import HContext
+from wkintersect.partitions import partition_class
 from wkintersect.pengine import (
+    MAX_CLASS_SIZE,
     DTable,
     bootstrap_all,
     bootstrap_p,
+    degree_rn,
     direct_p,
     r_max,
     trace_shift_invariance,
@@ -45,6 +49,22 @@ def test_bootstrap_all_consistent():
     every = bootstrap_all(3, 4, provider(4))
     for r in range(4):
         assert every[r] == bootstrap_p(r, 4, provider(4))
+
+
+def test_admission_budget():
+    # every table up to n = 7 fits; an n = 1500 genus-0 table fails fast,
+    # before its generating polynomial is asked for
+    assert len(partition_class(degree_rn(15, 7), 7)) < MAX_CLASS_SIZE
+
+    def refuse(g):
+        raise AssertionError("provider called")
+
+    with pytest.raises(ValueError):
+        bootstrap_all(0, 1500, refuse)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        intersect.tau(0, (1497,) + (0,) * 1499)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_direct_route_n3_and_truncation_stability():
