@@ -20,10 +20,10 @@ sqrt(e_n) times the input) is kept for low-degree cross-checks.
 import math
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int
-from .partitions import partition_class, ptrim
+from .partitions import ptrim
 from . import laurent
 from . import sympoly
-from .sympoly import MONOMIAL, SCHUR, SymPoly, dual_kostka_column, kostka_column
+from .sympoly import MONOMIAL, SCHUR, SymPoly
 
 _GNUM = {}   # mu -> prod_i prod_{j<=mu_i} (2(j-i)+3), an integer
 _DDEN = {}   # lam -> prod_i (2 lam_i + 1)!!
@@ -77,19 +77,17 @@ class HContext:
             raise ValueError("need at least one variable")
         self.n = n
 
-    def d_constant(self):
-        return barnes_constant(self.n)
-
-    def apply(self, poly):
+    def apply(self, poly, width=None):
         """H(poly), returned in the Schur basis: each monomial coefficient
         times dden(lam), the change to the Schur basis, then each Schur
-        coefficient divided by gnum(mu)."""
+        coefficient divided by gnum(mu).  With ``width`` only the shapes
+        with mu_1 <= width are computed."""
         if poly.n != self.n:
             raise ValueError("variable count mismatch")
         a = poly.change_basis(MONOMIAL).terms
-        b = SymPoly(self.n, MONOMIAL, {lam: c * _dden(lam) for lam, c in a.items()})
-        z = b.change_basis(SCHUR).terms
-        return SymPoly(self.n, SCHUR, {mu: v / _gnum(mu) for mu, v in z.items()})
+        b = SymPoly._make(self.n, MONOMIAL, {lam: c * _dden(lam) for lam, c in a.items()})
+        z = b._monomial_to_schur(width).terms
+        return SymPoly._make(self.n, SCHUR, {mu: v / _gnum(mu) for mu, v in z.items()})
 
     def apply_inverse(self, poly):
         """H^{-1}(poly), returned in the monomial basis: the mirror of
@@ -97,26 +95,9 @@ class HContext:
         if poly.n != self.n:
             raise ValueError("variable count mismatch")
         y = poly.change_basis(SCHUR).terms
-        z = SymPoly(self.n, SCHUR, {mu: c * _gnum(mu) for mu, c in y.items()})
+        z = SymPoly._make(self.n, SCHUR, {mu: c * _gnum(mu) for mu, c in y.items()})
         b = z.change_basis(MONOMIAL).terms
-        return SymPoly(self.n, MONOMIAL, {lam: v / _dden(lam) for lam, v in b.items()})
-
-    def apply_inverse_elementary(self, lam):
-        """H^{-1}(e_lam) through the double Kostka sum
-        sum_{nu <= mu <= lam^T} K_{mu^T,lam} K~_{mu,nu} m_nu."""
-        lam = ptrim(lam)
-        if lam and lam[0] > self.n:
-            raise ValueError("elementary index %r exceeds %d variables" % (lam, self.n))
-        out = {}
-        for mu, kdual in dual_kostka_column(lam, self.n).items():
-            gm = kdual * _gnum(mu)
-            for nu, k in kostka_row_restricted(mu, self.n).items():
-                w = out.get(nu, RAT_ZERO) + Rat(gm * k, _dden(nu))
-                if w:
-                    out[nu] = w
-                elif nu in out:
-                    del out[nu]
-        return SymPoly(self.n, MONOMIAL, out)
+        return SymPoly._make(self.n, MONOMIAL, {lam: v / _dden(lam) for lam, v in b.items()})
 
     def apply_raw(self, poly, assert_polynomial=True):
         """H via its differential realization: antisymmetrized derivatives of
@@ -154,29 +135,10 @@ class HContext:
         return SymPoly(n, SCHUR, {k: v for k, v in out.items() if v})
 
 
-_KOSTKA_ROWS = {}
-
-
-def kostka_row_restricted(mu, nrows):
-    """Row of the Kostka matrix: {lam: K_{mu,lam}} over contents with at
-    most nrows rows (the monomial expansion of s_mu in n variables)."""
-    key = (mu, nrows)
-    row = _KOSTKA_ROWS.get(key)
-    if row is None:
-        row = {}
-        for lam in partition_class(sum(mu), nrows):
-            k = kostka_column(lam, nrows).get(mu)
-            if k:
-                row[lam] = k
-        _KOSTKA_ROWS[key] = row
-    return row
-
-
 def clear_caches():
-    """Drop every memo the closed formula fills: the integer halves of N,
-    the restricted Kostka rows and all of :mod:`sympoly`'s Kostka and
-    partition-class data (used by benchmarks and tests)."""
+    """Drop every memo the closed formula fills: the integer halves of N
+    and all of :mod:`sympoly`'s Kostka and partition-class data (used by
+    benchmarks and tests)."""
     _GNUM.clear()
     _DDEN.clear()
-    _KOSTKA_ROWS.clear()
     sympoly.clear_caches()

@@ -13,6 +13,19 @@ antisymmetrized and divided by the Vandermonde.  The two routes share
 no code beyond exact arithmetic, which is the point: their agreement
 validates both.
 
+Every Schur shape mu of P_{r,n} satisfies mu_1 <= 2n - 5, which the
+direct route shows (it equals P_n by the paper; the tests check that at
+n <= 5).  In the variable u, tr prod_i Mtilde(u_i) has degree at most 2
+in each u_i, and at most 3/2 after the division by sqrt(e_n).
+Conjugating by exp(+-p_3/12) turns each derivative difference into
+(d_i + u_i^2/4) - (d_j + u_j^2/4), with d_i = d/du_i; each variable sits
+in n - 3 of the non-adjacent pairs, which add at most 2(n - 3) to its
+degree.  The factor e_n^(n-3/2) adds n - 3/2.  So the largest entry
+beta_1 of every alternant in the numerator is at most 3n - 6, and
+mu_1 = beta_1 - (n - 1) <= 2n - 5.  Multiplication by p_3 only adds
+cells, so the bootstrap computes H(A_{g,n}) and each ribbon image on the
+shapes inside that box alone (``box_width``).
+
 ``DTable`` is the persistent store for the Schur coefficients of the
 P_{r,n}; its line-oriented ASCII format is canonical (identical tables
 serialize to identical bytes).
@@ -43,6 +56,12 @@ def degree_rn(r, n):
     return 3 * r - 3 + n
 
 
+def box_width(n):
+    """Bound 2n - 5 on the first row of every Schur shape of every P_{r,n}
+    (derived in the module docstring)."""
+    return 2 * n - 5
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap route
 # ---------------------------------------------------------------------------
@@ -58,7 +77,10 @@ def bootstrap_p(r, n, a_provider):
 
 def bootstrap_all(r_top, n, a_provider):
     """All components P_{0,n} .. P_{r_top,n} at once, sharing one H image
-    and one incremental p_3-ribbon chain per genus."""
+    and one incremental p_3-ribbon chain per genus, both restricted to the
+    shapes with mu_1 <= 2n - 5 (see the module docstring)."""
+    if n < 3:
+        raise ValueError("the bootstrap starts at n = 3")
     if not 0 <= r_top <= r_max(n):
         raise ValueError("component index %d out of range for n=%d" % (r_top, n))
     d = degree_rn(r_top, n)
@@ -67,16 +89,17 @@ def bootstrap_all(r_top, n, a_provider):
             "bootstrap of (r=%d, n=%d) needs more than %d partitions of %d"
             % (r_top, n, MAX_CLASS_SIZE, d)
         )
+    width = box_width(n)
     hop = HContext(n)
     acc = {r: SymPoly.zero(n, SCHUR) for r in range(r_top + 1)}
     for g in range(r_top + 1):
-        term = hop.apply(a_provider(g))
+        term = hop.apply(a_provider(g), width)
         for r in range(g, r_top + 1):
             k = r - g
             c = Rat((-1) ** k * (1 << g), 12 ** k * math.factorial(k))
             acc[r] = acc[r] + term.scale(c)
             if r < r_top:
-                term = power_sum_times_schur(term, 3)
+                term = power_sum_times_schur(term, 3, width)
     for r, p in acc.items():
         want = degree_rn(r, n)
         if any(sum(k) != want for k in p.terms):

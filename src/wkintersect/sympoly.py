@@ -8,12 +8,15 @@ Three bases are supported, tagged by a single letter:
   partitions whose parts are at most n (any number of rows);
 * ``s`` Schur polynomials, indexed like ``m``.
 
-Monomial and Schur bases are exchanged through the rows of the inverse
-Kostka matrix, read off the bialternant: the s_mu coefficient of f is
-the coefficient of x^(mu+delta) in a_delta * f, so each row is a signed
-walk over the distinct rearrangements of one partition.  Schur to
-monomial eliminates against those same rows.  The elementary basis goes
-through the transposed-shape Kostka numbers, grown by vertical strips.
+Monomial and Schur bases are exchanged through the bialternant: the
+s_mu coefficient of f is the coefficient of x^(mu+delta) in a_delta * f
+(Macdonald, *Symmetric Functions*, I.3).  Monomial to Schur reads that
+coefficient once per requested shape, as a signed sum over the
+permutations w with mu + delta - w(delta) >= 0; Schur to monomial
+eliminates against the rows of the inverse Kostka matrix, each a signed
+walk over the distinct rearrangements of one partition.  The elementary
+basis goes through the transposed-shape Kostka numbers, grown by
+vertical strips.
 Kostka columns themselves (horizontal-strip Pieri growth) serve the
 questions that really are Kostka columns.
 
@@ -27,6 +30,7 @@ from operator import add
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, rat_from_str
 from .partitions import (
+    enumerate_partitions,
     format_partition,
     hook_numbers,
     parse_partition,
@@ -346,6 +350,38 @@ def _integer_terms(terms):
     return den, [(k, int(v.numerator) * (den // int(v.denominator))) for k, v in terms.items()]
 
 
+def _alternant_coefficient(padded, mu, n):
+    """Coefficient of x^(mu+delta) in a_delta * f, for f given by its
+    monomial coefficients keyed by partitions padded to n parts.
+
+    Positions are filled from the smallest entry of beta = mu + delta
+    upward, each taking an unused entry v of delta with v <= beta_i, so a
+    negative exponent is cut as soon as it would arise; the sign counts
+    the inversions of the assignment."""
+    beta = [(mu[i] if i < len(mu) else 0) + n - 1 - i for i in range(n)]
+    alpha = [0] * n
+    total = 0
+
+    def fill(i, used, inv):
+        nonlocal total
+        b = beta[i]
+        for v in range(min(b, n - 1) + 1):
+            bit = 1 << v
+            if used & bit:
+                continue
+            alpha[i] = b - v
+            k = inv + (used >> v).bit_count()
+            if i:
+                fill(i - 1, used | bit, k)
+            else:
+                c = padded.get(tuple(sorted(alpha, reverse=True)))
+                if c:
+                    total += -c if k & 1 else c
+
+    fill(n - 1, 0, 0)
+    return total
+
+
 def _distinct_permutations(padded):
     return set(permutations(padded))
 
@@ -398,6 +434,16 @@ class SymPoly:
             clean[k] = clean.get(k, RAT_ZERO) + v
         self.terms = {k: v for k, v in clean.items() if v}
 
+    @classmethod
+    def _make(cls, n, basis, terms):
+        """Wrap terms that are already normalised (trimmed keys that fit
+        the basis, non-zero exact values) without validating them again."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.basis = basis
+        poly.terms = terms
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -441,10 +487,10 @@ class SymPoly:
                 terms[k] = w
             elif k in terms:
                 del terms[k]
-        return SymPoly(self.n, self.basis, terms)
+        return SymPoly._make(self.n, self.basis, terms)
 
     def __neg__(self):
-        return SymPoly(self.n, self.basis, {k: -v for k, v in self.terms.items()})
+        return SymPoly._make(self.n, self.basis, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -453,7 +499,7 @@ class SymPoly:
         c = Rat(c)
         if not c:
             return SymPoly.zero(self.n, self.basis)
-        return SymPoly(self.n, self.basis, {k: c * v for k, v in self.terms.items()})
+        return SymPoly._make(self.n, self.basis, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         """Exact product, returned in the monomial basis."""
@@ -537,7 +583,7 @@ class SymPoly:
         if target not in BASES:
             raise ValueError("unknown basis %r" % (target,))
         if target == self.basis:
-            return SymPoly(self.n, self.basis, dict(self.terms))
+            return SymPoly._make(self.n, self.basis, dict(self.terms))
         key = (self.basis, target)
         if key == (SCHUR, MONOMIAL):
             return self._schur_to_monomial()
@@ -568,15 +614,33 @@ class SymPoly:
                 for mu, s in inverse_kostka_row(lam, self.n).items():
                     residual[mu] = residual.get(mu, 0) - c * s
                 out[lam] = Rat(c, den)
-        return SymPoly(self.n, MONOMIAL, out)
+        return SymPoly._make(self.n, MONOMIAL, out)
 
-    def _monomial_to_schur(self):
+    def _monomial_to_schur(self, width=None):
+        """Schur coefficients read off the alternant, one shape at a time:
+        [s_mu] f = sum_w sgn(w) f[sort(mu + delta - w(delta))] over the
+        permutations w that leave every entry non-negative, in integers
+        over one common denominator.  A shape mu is read only when it is
+        lexicographically at most the leading monomial of its degree (the
+        coefficient vanishes unless mu is dominated by a monomial of f)
+        and, with ``width``, only when mu_1 <= width."""
+        n = self.n
         den, items = _integer_terms(self.terms)
+        padded = {lam + (0,) * (n - len(lam)): c for lam, c in items}
+        lead = {}
+        for lam in padded:
+            d = sum(lam)
+            if d not in lead or lam > lead[d]:
+                lead[d] = lam
         out = {}
-        for lam, c in items:
-            for mu, s in inverse_kostka_row(lam, self.n).items():
-                out[mu] = out.get(mu, 0) + c * s
-        return SymPoly(self.n, SCHUR, {mu: Rat(v, den) for mu, v in out.items() if v})
+        for d, top in lead.items():
+            cap = top[0] if width is None else min(width, top[0])
+            for mu in enumerate_partitions(d, n, max_part=cap):
+                if mu + (0,) * (n - len(mu)) <= top:
+                    c = _alternant_coefficient(padded, mu, n)
+                    if c:
+                        out[mu] = Rat(c, den)
+        return SymPoly._make(n, SCHUR, out)
 
     def _elementary_to_schur(self):
         out = {}
@@ -667,12 +731,15 @@ class SymPoly:
 # ---------------------------------------------------------------------------
 
 
-def power_sum_times_schur(poly, r=3):
+def power_sum_times_schur(poly, r=3, width=None):
     """Multiply a Schur-basis SymPoly by the power sum p_r.
 
     On shifted rows (beta numbers) the product p_r * s_nu is the signed
     sum over ways of raising one shifted row by r, the sign counting the
-    rows jumped over while re-sorting; collisions vanish.
+    rows jumped over while re-sorting; collisions vanish.  With ``width``
+    only the shapes with mu_1 <= width are kept: every shape of the
+    product contains nu, so what is cut never returns under further
+    multiplication.
     """
     if poly.basis != SCHUR:
         raise ValueError("ribbon multiplication expects the Schur basis")
@@ -689,9 +756,11 @@ def power_sum_times_schur(poly, r=3):
             sign = -1 if jumps & 1 else 1
             newL = sorted(lset - {L[i]} | {top}, reverse=True)
             mu = ptrim(x - (n - j - 1) for j, x in enumerate(newL))
+            if width is not None and mu[0] > width:
+                continue
             w = out.get(mu, RAT_ZERO) + (c if sign > 0 else -c)
             if w:
                 out[mu] = w
             elif mu in out:
                 del out[mu]
-    return SymPoly(n, SCHUR, out)
+    return SymPoly._make(n, SCHUR, out)

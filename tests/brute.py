@@ -2,15 +2,26 @@
 
 Everything here is deliberately naive: direct tableau enumeration,
 permutation sums, exponent-level polynomial division.  None of it shares
-code with the production paths.
+code with the production paths, except that the formula-level references
+at the end (H^{-1} of elementary products, the unpruned bootstrap) are
+assembled from whole Kostka columns and rows of K^{-1}.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
-from wkintersect.rational import RAT_ONE, Rat
-from wkintersect.partitions import hook_numbers
-from wkintersect.sympoly import ExponentPoly, SymPoly, MONOMIAL
+from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat
+from wkintersect.partitions import hook_numbers, partition_class, ptrim
+from wkintersect.hop import _dden, _gnum
+from wkintersect.sympoly import (
+    ExponentPoly,
+    SymPoly,
+    MONOMIAL,
+    dual_kostka_column,
+    inverse_kostka_row,
+    kostka_column,
+)
 
 
 def ssyt_count(shape, content):
@@ -236,3 +247,76 @@ def _dvv(g, d, memo):
     value = total / _dfact(2 * k + 3)
     memo[(g, d)] = value
     return value
+
+
+_KOSTKA_ROWS = {}
+
+
+def kostka_row_restricted(mu, nrows):
+    """Row of the Kostka matrix: {lam: K_{mu,lam}} over contents with at
+    most nrows rows (the monomial expansion of s_mu in n variables)."""
+    key = (mu, nrows)
+    row = _KOSTKA_ROWS.get(key)
+    if row is None:
+        row = {}
+        for lam in partition_class(sum(mu), nrows):
+            k = kostka_column(lam, nrows).get(mu)
+            if k:
+                row[lam] = k
+        _KOSTKA_ROWS[key] = row
+    return row
+
+
+def apply_inverse_elementary(n, lam):
+    """H^{-1}(e_lam) in n variables through the double Kostka sum
+    sum_{nu <= mu <= lam^T} K_{mu^T,lam} K~_{mu,nu} m_nu."""
+    lam = ptrim(lam)
+    if lam and lam[0] > n:
+        raise ValueError("elementary index %r exceeds %d variables" % (lam, n))
+    out = {}
+    for mu, kdual in dual_kostka_column(lam, n).items():
+        gm = kdual * _gnum(mu)
+        for nu, k in kostka_row_restricted(mu, n).items():
+            w = out.get(nu, RAT_ZERO) + Rat(gm * k, _dden(nu))
+            if w:
+                out[nu] = w
+            elif nu in out:
+                del out[nu]
+    return SymPoly(n, MONOMIAL, out)
+
+
+def _ribbons(terms, n):
+    """p_3 times a Schur combination {mu: c}: raise one bead of the beta
+    numbers by 3, the sign counting the beads jumped over."""
+    out = {}
+    for nu, c in terms.items():
+        beta = hook_numbers(nu, n)
+        for b in beta:
+            if b + 3 in beta:
+                continue
+            jumped = sum(1 for x in beta if b < x < b + 3)
+            new = sorted([x for x in beta if x != b] + [b + 3], reverse=True)
+            mu = ptrim(x - (n - 1 - j) for j, x in enumerate(new))
+            out[mu] = out.get(mu, 0) + (-c if jumped % 2 else c)
+    return {mu: c for mu, c in out.items() if c}
+
+
+def bootstrap_unpruned(r_top, n, a_provider):
+    """P_{0,n} .. P_{r_top,n} with no box: H(A_{g,n}) from whole rows of
+    K^{-1} over every shape, and the full p_3 ribbon images, as
+    {r: {mu: coefficient}}."""
+    acc = {r: {} for r in range(r_top + 1)}
+    for g in range(r_top + 1):
+        img = {}
+        for lam, c in a_provider(g).change_basis(MONOMIAL).terms.items():
+            for mu, s in inverse_kostka_row(lam, n).items():
+                img[mu] = img.get(mu, 0) + c * _dden(lam) * s
+        term = {mu: v / _gnum(mu) for mu, v in img.items() if v}
+        for r in range(g, r_top + 1):
+            k = r - g
+            c = Rat((-1) ** k * (1 << g), 12 ** k * math.factorial(k))
+            for mu, v in term.items():
+                acc[r][mu] = acc[r].get(mu, 0) + c * v
+            if r < r_top:
+                term = _ribbons(term, n)
+    return {r: {mu: v for mu, v in p.items() if v} for r, p in acc.items()}

@@ -5,7 +5,7 @@ import pytest
 
 from wkintersect.rational import Rat, gamma_half_ratio
 from wkintersect import hop, oracle, sympoly
-from wkintersect.hop import HContext, _dden, _gnum
+from wkintersect.hop import _dden, _gnum
 from wkintersect.intersect import (
     Correlator,
     a_gn,
@@ -178,19 +178,25 @@ def test_extreme_indices_follow_the_string_equation(dtable):
 
 def test_clear_caches_empties_every_formula_memo(dtable):
     tau(3, (3, 2, 2, 2, 2), dtable)
-    a_gn(2, 5, MONOMIAL, dtable)
-    HContext(5).apply_inverse_elementary((2, 1))
-    memos = (
-        hop._GNUM,
-        hop._DDEN,
-        hop._KOSTKA_ROWS,
-        sympoly._KOSTKA_COLUMNS,
-        sympoly._DUAL_COLUMNS,
-        sympoly._INV_KOSTKA_ROWS,
-    )
-    assert all(memos)
+    a_gn(2, 5, ELEMENTARY, dtable)
+    memos = {
+        "hop._GNUM": hop._GNUM,
+        "hop._DDEN": hop._DDEN,
+        "sympoly._KOSTKA_COLUMNS": sympoly._KOSTKA_COLUMNS,
+        "sympoly._DUAL_COLUMNS": sympoly._DUAL_COLUMNS,
+        "sympoly._INV_KOSTKA_ROWS": sympoly._INV_KOSTKA_ROWS,
+    }
+    # the list above names every module-level dict of both modules
+    found = {
+        "%s.%s" % (mod.__name__.rsplit(".", 1)[1], name)
+        for mod in (hop, sympoly)
+        for name, value in vars(mod).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    }
+    assert found == set(memos)
+    assert all(memos.values())
     hop.clear_caches()
-    assert not any(memos)
+    assert not any(memos.values())
     assert partition_class.cache_info().currsize == 0
 
 

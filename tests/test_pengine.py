@@ -1,17 +1,20 @@
+import os
 import random
 import time
 
 import pytest
 
-from golden_tables import TABLE_SCHUR
+from brute import bootstrap_unpruned
+from golden_tables import TABLE_E6, TABLE_SCHUR
 from wkintersect.rational import Rat, rat_from_str
-from wkintersect import intersect, oracle
+from wkintersect import hop, intersect, oracle
 from wkintersect.hop import HContext
 from wkintersect.partitions import partition_class
 from wkintersect.pengine import (
     MAX_CLASS_SIZE,
     DTable,
     bootstrap_all,
+    box_width,
     bootstrap_p,
     degree_rn,
     direct_p,
@@ -49,6 +52,66 @@ def test_bootstrap_all_consistent():
     every = bootstrap_all(3, 4, provider(4))
     for r in range(4):
         assert every[r] == bootstrap_p(r, 4, provider(4))
+
+
+def _first_row(mu):
+    return mu[0] if mu else 0
+
+
+def test_box_bound_holds_and_is_attained():
+    # every Schur shape of P_{r,n} has mu_1 <= 2n - 5 (the pengine
+    # docstring derives it from the direct route), and some shape at each n
+    # reaches it: a box one narrower would lose terms, one wider would
+    # compute shapes that never occur
+    blocks = [(n, block) for (r, n), block in TABLE_SCHUR.items()]
+    blocks += [
+        (6, SymPoly(6, ELEMENTARY, as_terms(block)).change_basis(SCHUR).terms)
+        for block in TABLE_E6.values()
+    ]
+    blocks += [(n, direct_p(n).terms) for n in (3, 4)]
+    widest = {}
+    for n, block in blocks:
+        for mu in block:
+            widest[n] = max(widest.get(n, 0), _first_row(mu))
+    assert widest == {n: box_width(n) for n in (3, 4, 5, 6)}
+
+
+@pytest.mark.extended
+def test_box_bound_direct_route_n5():
+    assert max(map(_first_row, direct_p(5).terms)) == box_width(5)
+
+
+def test_bootstrap_n7_matches_unpruned_bootstrap():
+    # box-restricted H images and ribbons against whole K^{-1} rows and
+    # unpruned ribbons, beyond the golden tables
+    every = bootstrap_all(6, 7, provider(7))
+    want = bootstrap_unpruned(6, 7, provider(7))
+    assert {r: p.terms for r, p in every.items()} == want
+
+
+N7_TABLE = os.path.join(os.path.dirname(__file__), "dtable_n7.txt")
+
+
+@pytest.mark.extended
+def test_n7_table_certified_against_the_oracle():
+    # A fresh full n = 7 build writes the committed table byte for byte, and
+    # a_gn(g, 7) read from it equals the oracle's for every g <= r_max(7).
+    # H is invertible, so that fixes every P_{r,7} by induction on r.
+    hop.clear_caches()
+    oracle.clear_memo()
+    table = DTable()
+    table.ensure_upto(r_max(7), 7, provider(7))
+    with open(N7_TABLE, encoding="ascii") as fh:
+        assert table.dumps() == fh.read()
+    for g in range(r_max(7) + 1):
+        hop.clear_caches()
+        assert intersect.a_gn(g, 7, dtable=table) == oracle.a_gn_oracle(g, 7), g
+
+
+def test_bootstrap_refuses_fewer_than_three_points():
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            bootstrap_all(0, n, provider(n))
 
 
 def test_admission_budget():

@@ -104,6 +104,30 @@ def test_inverse_kostka_signed_determinant():
                     assert row.get(mu, 0) == signed_det_inverse_kostka(lam, mu, n)
 
 
+def test_column_read_equals_inverse_kostka_rows():
+    # m -> s reads one alternant coefficient per shape; rows of K^{-1} walk
+    # the rearrangements of one partition.  Each basis element, then a
+    # combination of mixed degree with rational coefficients, and a read
+    # restricted to a width.
+    rng = random.Random(31)
+    for n in range(1, 8):
+        terms = {}
+        want = {}
+        for d in range(0, 13):
+            for lam in partition_class(d, n):
+                row = inverse_kostka_row(lam, n)
+                assert SymPoly.basis_element(MONOMIAL, lam, n).change_basis(SCHUR).terms == row, (n, lam)
+                c = Rat(rng.randint(-9, 9), rng.randint(1, 4))
+                terms[lam] = c
+                for mu, s in row.items():
+                    want[mu] = want.get(mu, 0) + c * s
+        f = SymPoly(n, MONOMIAL, terms)
+        assert f.change_basis(SCHUR) == SymPoly(n, SCHUR, want), n
+        for width in (1, 2, 5):
+            cut = {mu: v for mu, v in want.items() if v and (not mu or mu[0] <= width)}
+            assert f._monomial_to_schur(width) == SymPoly(n, SCHUR, cut), (n, width)
+
+
 def test_kostka_times_inverse_is_identity_small():
     for n in range(1, 5):
         for d in range(0, 9):
@@ -128,6 +152,20 @@ def test_basis_validation():
         SymPoly(2, "x", {})
     # elementary indices may be longer than n
     SymPoly(2, ELEMENTARY, {(2, 2, 2, 1, 1): 1})
+
+
+def test_public_constructor_validates_internal_results_do_not_need_to():
+    # the trusted constructor behind scale, +, - and the base changes skips
+    # validation; the public one still trims, merges and rejects
+    with pytest.raises(ValueError):
+        SymPoly(3, MONOMIAL, {(1, 1, 1, 1): 1})
+    with pytest.raises(ValueError):
+        SymPoly(3, SCHUR, {(2, 1, 1, 1): Rat(1, 2)})
+    p = SymPoly(3, MONOMIAL, {(2, 1, 0): 1, (2, 1): Rat(1, 2), (1,): 0})
+    assert p.terms == {(2, 1): Rat(3, 2)}
+    q = (p.scale(2) + (-p)).scale(Rat(2, 3))
+    assert q == p.scale(Rat(2, 3)) and q.terms == {(2, 1): 1}
+    assert (p + (-p)).terms == {}
 
 
 def test_change_basis_examples():
