@@ -353,7 +353,8 @@ class DTable:
         """Parse the file form.  A block header ``n=N r=R terms=T`` must be
         followed by exactly T coefficient lines and the data must end in a
         newline, so a truncated file is rejected instead of loading as a
-        smaller block.  Headers without a term count still load."""
+        smaller block.  Headers without a term count still load.  A
+        repeated (n, r) header and a zero denominator are rejected too."""
         lines = data.splitlines()
         if not lines or lines[0] != FILE_HEADER:
             raise ValueError("unrecognized table header")
@@ -372,7 +373,7 @@ class DTable:
                 )
             table.put(cur[0], cur[1], coeffs)
 
-        for line in lines[1:]:
+        for lineno, line in enumerate(lines[1:], start=2):
             line = line.strip()
             if not line:
                 continue
@@ -380,12 +381,17 @@ class DTable:
                 flush()
                 ntok, rtok, *ttok = line.split()
                 cur = (int(rtok[2:]), int(ntok[2:]))
+                if cur in table.blocks:
+                    raise ValueError("line %d repeats block (r=%d, n=%d)" % ((lineno,) + cur))
                 want = int(ttok[0].removeprefix("terms=")) if ttok else None
                 table.counted = table.counted and bool(ttok)
                 coeffs = {}
             else:
                 ptok, vtok = line.split()
-                coeffs[parse_partition(ptok)] = rat_from_str(vtok)
+                try:
+                    coeffs[parse_partition(ptok)] = rat_from_str(vtok)
+                except ZeroDivisionError:
+                    raise ValueError("line %d: zero denominator in %r" % (lineno, line)) from None
         flush()
         return table
 

@@ -10,11 +10,12 @@ Three bases are supported, tagged by a single letter:
 
 Monomial and Schur bases are exchanged through the bialternant: the
 s_mu coefficient of f is the coefficient of x^(mu+delta) in a_delta * f
-(Macdonald, *Symmetric Functions*, I.3).  Monomial to Schur reads that
-coefficient once per requested shape, as a signed sum over the
-permutations w with mu + delta - w(delta) >= 0; Schur to monomial
-eliminates against the rows of the inverse Kostka matrix, each a signed
-walk over the distinct rearrangements of one partition.  The elementary
+(Macdonald, *Symmetric Functions*, I.3).  One kernel reads that
+coefficient for one shape, as a signed sum over the permutations w with
+mu + delta - w(delta) >= 0.  Monomial to Schur calls it once per
+requested shape; Schur to monomial is the unitriangular elimination that
+calls it once per shape on the monomial part found so far, and each
+inverse Kostka number is one call on a single monomial.  The elementary
 basis goes through the transposed-shape Kostka numbers, grown by
 vertical strips.
 Kostka columns themselves (horizontal-strip Pieri growth) serve the
@@ -51,7 +52,6 @@ BASES = (MONOMIAL, ELEMENTARY, SCHUR)
 
 _KOSTKA_COLUMNS = {}       # (content, nrows) -> {shape: int}
 _DUAL_COLUMNS = {}         # (content, nrows) -> {shape: K_{shape^T, content}}
-_INV_KOSTKA_ROWS = {}      # (lam, nrows) -> {mu: int}
 
 
 def _hstrip_additions(shape, k, nrows):
@@ -156,58 +156,22 @@ def kostka(mu, lam):
     return kostka_column(lam, max(len(lam), 1)).get(mu, 0)
 
 
-def inverse_kostka_row(lam, nrows):
-    """Row lam of K^{-1}: the coefficients S_{lam,mu} with m_lam =
-    sum_mu S_{lam,mu} s_mu, the coefficients of x^(mu+delta) in
-    a_delta * m_lam.  Each distinct rearrangement alpha of lam whose
-    beta = alpha + delta has distinct entries adds the sign of sorting
-    beta to mu = sort(beta) - delta; the walk stops at the first
-    collision."""
-    key = (lam, nrows)
-    row = _INV_KOSTKA_ROWS.get(key)
-    if row is None:
-        left = {}
-        for part in lam + (0,) * (nrows - len(lam)):
-            left[part] = left.get(part, 0) + 1
-        beta = []
-        acc = {}
-
-        def walk(shift, inv):
-            if shift < 0:
-                srt = sorted(beta, reverse=True)
-                mu = ptrim([b - nrows + 1 + j for j, b in enumerate(srt)])
-                acc[mu] = acc.get(mu, 0) + (-1 if inv & 1 else 1)
-                return
-            for part, k in left.items():
-                b = part + shift
-                if k and b not in beta:
-                    left[part] = k - 1
-                    beta.append(b)
-                    walk(shift - 1, inv + sum(1 for x in beta if x < b))
-                    beta.pop()
-                    left[part] = k
-
-        walk(nrows - 1, 0)
-        row = _INV_KOSTKA_ROWS[key] = {mu: s for mu, s in acc.items() if s}
-    return row
-
-
 def inverse_kostka(lam, mu):
-    """Entry S_{lam,mu} of the inverse Kostka matrix (integer); it does
-    not depend on the number of rows once both partitions fit."""
+    """Entry S_{lam,mu} of the inverse Kostka matrix (integer), the s_mu
+    coefficient of m_lam; it does not depend on the number of rows once
+    both partitions fit."""
     lam = ptrim(lam)
     mu = ptrim(mu)
     if sum(lam) != sum(mu):
         raise ValueError("inverse Kostka needs equal weights: %r vs %r" % (lam, mu))
     nrows = max(len(lam), len(mu), 1)
-    return inverse_kostka_row(lam, nrows).get(mu, 0)
+    return _alternant_coefficient({lam + (0,) * (nrows - len(lam)): 1}, mu, nrows)
 
 
 def clear_caches():
     """Drop all memoized Kostka/class data (used by benchmarks and tests)."""
     _KOSTKA_COLUMNS.clear()
     _DUAL_COLUMNS.clear()
-    _INV_KOSTKA_ROWS.clear()
     partition_class.cache_clear()
 
 
@@ -380,6 +344,25 @@ def _alternant_coefficient(padded, mu, n):
 
     fill(n - 1, 0, 0)
     return total
+
+
+def _shapes_to_read(keys, n, width=None):
+    """The shapes mu whose coefficient a change between the m and s bases
+    reads, degree by degree in reverse-lex order: mu at most the lex-leading
+    key of its degree (m_lam occurs in s_nu only for lam <= nu in
+    dominance, so every other coefficient vanishes) and, with ``width``,
+    mu_1 <= width.  Keys may be trimmed or padded to n parts."""
+    lead = {}
+    for lam in keys:
+        lam = lam + (0,) * (n - len(lam))
+        d = sum(lam)
+        if d not in lead or lam > lead[d]:
+            lead[d] = lam
+    for d, top in lead.items():
+        cap = top[0] if width is None else min(width, top[0])
+        for mu in enumerate_partitions(d, n, max_part=cap):
+            if mu + (0,) * (n - len(mu)) <= top:
+                yield mu
 
 
 def _distinct_permutations(padded):
@@ -597,49 +580,40 @@ class SymPoly:
         return self.change_basis(SCHUR).change_basis(target)
 
     def _schur_to_monomial(self):
-        """Unitriangular elimination against rows of K^{-1}.
+        """Unitriangular elimination through the alternant read of
+        :meth:`_monomial_to_schur`.
 
-        m_lam = s_lam + sum_{mu < lam} S_{lam,mu} s_mu, so walking the class
-        in reverse-lex order and subtracting one row per emitted coefficient
-        inverts the relation, in integers over one common denominator.
+        [s_lam] f = sum_{nu >= lam} S_{nu,lam} [m_nu] f with S_{lam,lam} = 1,
+        so walking each degree in reverse-lex order gives
+        [m_lam] f = [s_lam] f - [s_lam](monomial part found so far), one
+        alternant read per shape, in integers over one common denominator.
         """
+        n = self.n
         den, items = _integer_terms(self.terms)
-        residual = dict(items)
+        schur = dict(items)
         out = {}
-        for d in sorted({sum(k) for k in residual}):
-            for lam in partition_class(d, self.n):
-                c = residual.get(lam)
-                if not c:
-                    continue
-                for mu, s in inverse_kostka_row(lam, self.n).items():
-                    residual[mu] = residual.get(mu, 0) - c * s
+        found = {}
+        for lam in _shapes_to_read(schur, n):
+            c = schur.get(lam, 0) - _alternant_coefficient(found, lam, n)
+            if c:
+                found[lam + (0,) * (n - len(lam))] = c
                 out[lam] = Rat(c, den)
-        return SymPoly._make(self.n, MONOMIAL, out)
+        return SymPoly._make(n, MONOMIAL, out)
 
     def _monomial_to_schur(self, width=None):
         """Schur coefficients read off the alternant, one shape at a time:
         [s_mu] f = sum_w sgn(w) f[sort(mu + delta - w(delta))] over the
         permutations w that leave every entry non-negative, in integers
-        over one common denominator.  A shape mu is read only when it is
-        lexicographically at most the leading monomial of its degree (the
-        coefficient vanishes unless mu is dominated by a monomial of f)
-        and, with ``width``, only when mu_1 <= width."""
+        over one common denominator; with ``width`` only the shapes with
+        mu_1 <= width are read."""
         n = self.n
         den, items = _integer_terms(self.terms)
         padded = {lam + (0,) * (n - len(lam)): c for lam, c in items}
-        lead = {}
-        for lam in padded:
-            d = sum(lam)
-            if d not in lead or lam > lead[d]:
-                lead[d] = lam
         out = {}
-        for d, top in lead.items():
-            cap = top[0] if width is None else min(width, top[0])
-            for mu in enumerate_partitions(d, n, max_part=cap):
-                if mu + (0,) * (n - len(mu)) <= top:
-                    c = _alternant_coefficient(padded, mu, n)
-                    if c:
-                        out[mu] = Rat(c, den)
+        for mu in _shapes_to_read(padded, n, width):
+            c = _alternant_coefficient(padded, mu, n)
+            if c:
+                out[mu] = Rat(c, den)
         return SymPoly._make(n, SCHUR, out)
 
     def _elementary_to_schur(self):

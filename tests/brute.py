@@ -1,10 +1,11 @@
 """Brute-force reference implementations the fast code is checked against.
 
 Everything here is deliberately naive: direct tableau enumeration,
-permutation sums, exponent-level polynomial division.  None of it shares
-code with the production paths, except that the formula-level references
-at the end (H^{-1} of elementary products, the unpruned bootstrap) are
-assembled from whole Kostka columns and rows of K^{-1}.
+permutation sums, exponent-level polynomial division, rows of K^{-1} by a
+walk over rearrangements.  None of it shares code with the production
+paths, except that the formula-level references at the end (H^{-1} of
+elementary products, the unpruned bootstrap) are assembled from the
+library's whole Kostka columns.
 """
 
 import math
@@ -19,7 +20,6 @@ from wkintersect.sympoly import (
     SymPoly,
     MONOMIAL,
     dual_kostka_column,
-    inverse_kostka_row,
     kostka_column,
 )
 
@@ -104,6 +104,38 @@ def _perm_sign(perm):
         if perm[a] > perm[b]
     )
     return -1 if inv & 1 else 1
+
+
+def inverse_kostka_row(lam, nrows):
+    """Row lam of K^{-1}: the coefficients S_{lam,mu} with m_lam =
+    sum_mu S_{lam,mu} s_mu, the coefficients of x^(mu+delta) in
+    a_delta * m_lam.  Each distinct rearrangement alpha of lam whose
+    beta = alpha + delta has distinct entries adds the sign of sorting
+    beta to mu = sort(beta) - delta; the walk stops at the first
+    collision."""
+    left = {}
+    for part in lam + (0,) * (nrows - len(lam)):
+        left[part] = left.get(part, 0) + 1
+    beta = []
+    acc = {}
+
+    def walk(shift, inv):
+        if shift < 0:
+            srt = sorted(beta, reverse=True)
+            mu = ptrim([b - nrows + 1 + j for j, b in enumerate(srt)])
+            acc[mu] = acc.get(mu, 0) + (-1 if inv & 1 else 1)
+            return
+        for part, k in left.items():
+            b = part + shift
+            if k and b not in beta:
+                left[part] = k - 1
+                beta.append(b)
+                walk(shift - 1, inv + sum(1 for x in beta if x < b))
+                beta.pop()
+                left[part] = k
+
+    walk(nrows - 1, 0)
+    return {mu: s for mu, s in acc.items() if s}
 
 
 def signed_det_inverse_kostka(lam, mu, n):

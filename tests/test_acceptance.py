@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from brute import inverse_kostka_row
 from golden_tables import TABLE_COUNTS, TABLE_E6, TABLE_ELEMENTARY, TABLE_SCHUR
 from wkintersect import cli, oracle
 from wkintersect.rational import Rat, rat_from_str
@@ -32,7 +33,6 @@ from wkintersect.sympoly import (
     MONOMIAL,
     SCHUR,
     SymPoly,
-    inverse_kostka_row,
     kostka_column,
 )
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from wkintersect import cli
 from wkintersect.pengine import DTable, r_max
 
@@ -178,6 +180,21 @@ def test_io_error_exit_code(tmp_path):
 def test_malformed_cache_is_io_error(tmp_path):
     (tmp_path / "dtable.txt").write_text("# dtable v9\n")
     code, _ = run_cli(["tau", "--genus", "0", "--powers", "0,0,0"], tmp_path)
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        "# dtable v1\nn=3 r=0 terms=1\n- 1\n\nn=3 r=0 terms=1\n- 2\n",  # a repeated block
+        "# dtable v1\nn=3 r=0 terms=1\n- 1/0\n",  # a zero denominator
+    ],
+)
+def test_damaged_cache_is_io_error(tmp_path, data):
+    (tmp_path / "dtable.txt").write_text(data)
+    code, out = run_cli(["tau", "--genus", "0", "--powers", "0,0,0"], tmp_path)
+    assert code == 3 and out == ""
+    code, _ = run_cli(["dtable", "-n", "3", "--r-max", "0"], tmp_path)
     assert code == 3
 
 

@@ -258,6 +258,20 @@ def test_dtable_block_term_count():
     assert DTable.loads(legacy).dumps() == legacy
 
 
+def test_dtable_rejects_a_repeated_block():
+    # a later block with the same (n, r) must not replace the first one
+    data = "# dtable v1\nn=3 r=0 terms=1\n- 1\n\nn=3 r=0 terms=1\n- 2\n"
+    with pytest.raises(ValueError, match="line 5 repeats block"):
+        DTable.loads(data)
+    with pytest.raises(ValueError, match="repeats block"):
+        DTable.loads(data.replace(" terms=1", ""))
+
+
+def test_dtable_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="line 3: zero denominator"):
+        DTable.loads("# dtable v1\nn=3 r=0 terms=1\n- 1/0\n")
+
+
 def test_dtable_put_validates():
     t = DTable()
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from brute import (
     bialternant_schur,
     contingency_kostka,
+    inverse_kostka_row,
     jacobi_trudi_schur,
     signed_det_inverse_kostka,
     ssyt_count,
@@ -20,7 +21,6 @@ from wkintersect.sympoly import (
     SymPoly,
     dual_kostka_column,
     inverse_kostka,
-    inverse_kostka_row,
     kostka,
     kostka_column,
     power_sum_times_schur,
@@ -105,10 +105,11 @@ def test_inverse_kostka_signed_determinant():
 
 
 def test_column_read_equals_inverse_kostka_rows():
-    # m -> s reads one alternant coefficient per shape; rows of K^{-1} walk
-    # the rearrangements of one partition.  Each basis element, then a
-    # combination of mixed degree with rational coefficients, and a read
-    # restricted to a width.
+    # m -> s reads one alternant coefficient per shape and s -> m eliminates
+    # with the same read; rows of K^{-1} walk the rearrangements of one
+    # partition.  Each basis element, then a combination of mixed degree
+    # with rational coefficients in both directions, and a read restricted
+    # to a width.
     rng = random.Random(31)
     for n in range(1, 8):
         terms = {}
@@ -123,6 +124,7 @@ def test_column_read_equals_inverse_kostka_rows():
                     want[mu] = want.get(mu, 0) + c * s
         f = SymPoly(n, MONOMIAL, terms)
         assert f.change_basis(SCHUR) == SymPoly(n, SCHUR, want), n
+        assert SymPoly(n, SCHUR, want).change_basis(MONOMIAL) == f, n
         for width in (1, 2, 5):
             cut = {mu: v for mu, v in want.items() if v and (not mu or mu[0] <= width)}
             assert f._monomial_to_schur(width) == SymPoly(n, SCHUR, cut), (n, width)
