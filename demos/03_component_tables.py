@@ -9,12 +9,12 @@ is the whole point of having both.
 
 import time
 
-from wkintersect import DTable, a_gn_oracle, direct_p, r_max
+from wkintersect import DTable, direct_p, r_max
 from wkintersect.sympoly import ELEMENTARY, SCHUR, SymPoly
 
 n = 4
 table = DTable()
-table.ensure_upto(r_max(n), n, lambda g: a_gn_oracle(g, n))
+table.ensure_upto(r_max(n), n)
 
 print("components of the master polynomial at n=%d (Schur basis):" % n)
 for r in range(r_max(n) + 1):

@@ -10,13 +10,13 @@ the curve.
 
 import time
 
-from wkintersect import DTable, a_gn_oracle, r_max, tau, virasoro_tau
+from wkintersect import DTable, r_max, tau, virasoro_tau
 from wkintersect import hop, oracle
 
 n = 3
 g_max = 9
 table = DTable()
-table.ensure_upto(r_max(n), n, lambda g: a_gn_oracle(g, n))
+table.ensure_upto(r_max(n), n)
 
 print("n = %d, index (3g-3+n, 0, ..., 0) per genus" % n)
 print("g     formula[s]   recursion[s]")

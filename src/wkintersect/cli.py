@@ -53,10 +53,6 @@ def load_table(args):
     return DTable()
 
 
-def provider_for(n):
-    return lambda g: oracle.a_gn_oracle(g, n)
-
-
 def parse_powers(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
@@ -94,7 +90,7 @@ def cmd_pn(args, out):
     if not 0 <= args.r <= r_max(args.n):
         raise ValueError("component index %d out of range for n=%d" % (args.r, args.n))
     table = load_table(args)
-    table.ensure(args.r, args.n, provider_for(args.n))
+    table.ensure(args.r, args.n)
     poly = table.p_rn(args.r, args.n).change_basis(BASIS_NAMES[args.basis])
     emit_sympoly(poly, args.format, out)
     return EXIT_OK
@@ -111,7 +107,7 @@ def cmd_dtable(args, out):
     except (OSError, ValueError) as exc:
         sys.stderr.write("cache error: %s\n" % (exc,))
         return EXIT_IO
-    table.ensure_upto(r_top, args.n, provider_for(args.n))
+    table.ensure_upto(r_top, args.n)
     try:
         import fcntl
 
@@ -139,7 +135,7 @@ def cmd_verify(args, out):
     bad = []
     for n in range(1, args.n_max + 1):
         if n >= 3:
-            table.ensure_upto(min(args.g_max, r_max(n)), n, provider_for(n))
+            table.ensure_upto(min(args.g_max, r_max(n)), n)
         for g in range(0, args.g_max + 1):
             if 2 * g - 2 + n <= 0:
                 continue
@@ -168,7 +164,7 @@ def elo_rows(n, r_top, table):
     each homogeneous component against the exact-length count of candidates."""
     rows = []
     for r in range(r_top + 1):
-        table.ensure(r, n, provider_for(n))
+        table.ensure(r, n)
         poly = table.p_rn(r, n).change_basis(sympoly.ELEMENTARY)
         seen = set()
         for lam in poly.terms:
@@ -218,7 +214,7 @@ def cmd_bench(args, out):
     n = args.n
     table = load_table(args)
     t0 = time.perf_counter()
-    table.ensure_upto(min(args.g_max, r_max(n)), n, provider_for(n))
+    table.ensure_upto(min(args.g_max, r_max(n)), n)
     setup = time.perf_counter() - t0
     out.write("# bench n=%d g_max=%d setup_seconds=%.6f\n" % (n, args.g_max, setup))
     out.write("g\tt_formula\tt_oracle\n")

@@ -12,9 +12,15 @@ with the combinatorial weight
 
 which reduces to the ratio of two integers, one depending on each
 partition.  The production path is therefore a diagonal scaling on each
-side of the monomial/Schur base change of :mod:`sympoly`.  A raw
-differential realization (Vandermonde of derivatives acting on
-sqrt(e_n) times the input) is kept for low-degree cross-checks.
+side of the monomial/Schur base change of :mod:`sympoly`.  In the
+forward direction it is an integer map (``h_integers``): the input is
+{lam: dden(lam) [m_lam] A} over one common scale, the alternant read
+gives z_mu = [s_mu] of it, and z_mu L / gnum(mu), with L the lcm of the
+gnum read, is H(A) over the single denominator L times that scale.  The
+recursion oracle's integers T(g, lam) already have that form, and
+``monomial_integers`` puts any SymPoly into it.  A raw differential
+realization (Vandermonde of derivatives acting on sqrt(e_n) times the
+input) is kept for low-degree cross-checks.
 """
 
 import math
@@ -69,6 +75,27 @@ def barnes_constant(n):
     return Rat(sign * p, 1 << (n * (n - 1) // 2))
 
 
+def monomial_integers(poly):
+    """(scale, {lam padded to n parts: c}) with c / scale = dden(lam)
+    [m_lam] poly: the integer input of :func:`h_integers` for any SymPoly
+    (the oracle's :func:`~wkintersect.oracle.integer_class` has the same
+    form)."""
+    n = poly.n
+    scale, items = sympoly._integer_terms(poly.change_basis(MONOMIAL).terms)
+    return scale, {lam + (0,) * (n - len(lam)): c * _dden(lam) for lam, c in items}
+
+
+def h_integers(padded, n, width=None):
+    """The integer H.  For f = {lam padded: c} with c / scale = dden(lam)
+    [m_lam] A, returns (L, {mu: y}) with [s_mu] H(A) = y / (L scale):
+    z_mu = [s_mu] f read off the alternant, y = z_mu L / gnum(mu), and L
+    the lcm of gnum over the shapes read.  With ``width`` only the shapes
+    with mu_1 <= width are read."""
+    z = sympoly.schur_integers(padded, n, width)
+    lcm = math.lcm(*map(_gnum, z))
+    return lcm, {mu: c * (lcm // _gnum(mu)) for mu, c in z.items()}
+
+
 class HContext:
     """Applies the operator and its inverse for a fixed variable count."""
 
@@ -78,16 +105,16 @@ class HContext:
         self.n = n
 
     def apply(self, poly, width=None):
-        """H(poly), returned in the Schur basis: each monomial coefficient
-        times dden(lam), the change to the Schur basis, then each Schur
-        coefficient divided by gnum(mu).  With ``width`` only the shapes
-        with mu_1 <= width are computed."""
+        """H(poly), returned in the Schur basis: the integer H of
+        :func:`h_integers` on :func:`monomial_integers`, divided once per
+        coefficient.  With ``width`` only the shapes with mu_1 <= width
+        are computed."""
         if poly.n != self.n:
             raise ValueError("variable count mismatch")
-        a = poly.change_basis(MONOMIAL).terms
-        b = SymPoly._make(self.n, MONOMIAL, {lam: c * _dden(lam) for lam, c in a.items()})
-        z = b._monomial_to_schur(width).terms
-        return SymPoly._make(self.n, SCHUR, {mu: v / _gnum(mu) for mu, v in z.items()})
+        scale, padded = monomial_integers(poly)
+        den, y = h_integers(padded, self.n, width)
+        den *= scale
+        return SymPoly._make(self.n, SCHUR, {mu: Rat(c, den) for mu, c in y.items()})
 
     def apply_inverse(self, poly):
         """H^{-1}(poly), returned in the monomial basis: the mirror of

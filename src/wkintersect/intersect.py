@@ -117,11 +117,9 @@ def q_coeff(nu, mu, n):
 def _tables(g, n, dtable, a_provider):
     """The table holding P_{r,n} for every r <= top = min(g, r_max(n)),
     bootstrapping missing blocks through ``a_provider`` (default: the
-    oracle's generating polynomials); returns (dtable, top)."""
+    oracle's integer classes); returns (dtable, top)."""
     if dtable is None:
         dtable = DTable()
-    if a_provider is None:
-        a_provider = lambda gg: oracle_mod.a_gn_oracle(gg, n)
     top = min(g, r_max(n))
     dtable.ensure_upto(top, n, a_provider)
     return dtable, top
@@ -168,7 +166,7 @@ def tau(g, d, dtable=None, a_provider=None):
     n = 1, 2 delegate to the recursion oracle (the determinantal chain
     behind the coefficient tables starts at three points).  Missing table
     blocks are bootstrapped on demand through ``a_provider`` (defaults to
-    the oracle's generating polynomials).
+    the oracle's integer classes).
     """
     d = tuple(d)
     n = len(d)

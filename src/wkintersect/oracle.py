@@ -24,13 +24,15 @@ Three pivots reduce an index, the first two only while
   + sum_{a+b=k-1} sum_{I u J = S} T(g1, I u {a}) T(g2, J u {b}).
 
 ``Fraction`` appears only at the edge: ``virasoro_tau`` and
-``a_gn_oracle`` divide each T by its scale once.
+``a_gn_oracle`` divide each T by its scale once.  ``integer_class`` hands
+the table bootstrap the integers T themselves, over the partitions it
+reads (lam_1 <= 3n - 6), and ``a_gn_oracle`` is that class without a cap.
 """
 
 import math
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int
-from .partitions import partition_class, ptrim
+from .partitions import enumerate_partitions, partition_class, ptrim
 from .sympoly import (
     ELEMENTARY,
     MONOMIAL,
@@ -63,33 +65,15 @@ def dim_target(g, n):
 def _splits(rest):
     """All ordered sub-multiset splits (I1, I2) of a sorted tuple together
     with the number of index subsets realizing each, as
-    (sum1, count1, I1, I2, ways)."""
-    items = []
-    prev = None
-    for v in rest:
-        if v == prev:
-            items[-1][1] += 1
-        else:
-            items.append([v, 1])
-            prev = v
-    out = []
-
-    def rec(idx, take, ways):
-        if idx == len(items):
-            left = []
-            right = []
-            for (v, m), t in zip(items, take):
-                left.extend([v] * t)
-                right.extend([v] * (m - t))
-            left.sort(reverse=True)
-            right.sort(reverse=True)
-            out.append((sum(left), len(left), tuple(left), tuple(right), ways))
-            return
-        v, m = items[idx]
-        for t in range(m + 1):
-            rec(idx + 1, take + [t], ways * math.comb(m, t))
-
-    rec(0, [], 1)
+    (sum1, count1, I1, I2, ways); I1 and I2 come out sorted like rest."""
+    out = [(0, 0, (), (), 1)]
+    for v in sorted(set(rest), reverse=True):
+        m = rest.count(v)
+        out = [
+            (s1 + t * v, c1 + t, i1 + (v,) * t, i2 + (v,) * (m - t), ways * math.comb(m, t))
+            for s1, c1, i1, i2, ways in out
+            for t in range(m + 1)
+        ]
     return out
 
 
@@ -108,6 +92,10 @@ def _sorted(t):
 
 def _tn(g, d):
     """Memoized integer core T(g, d); d is a sorted-descending tuple."""
+    key = (g, d)
+    val = _MEMO.get(key)
+    if val is not None:
+        return val
     n = len(d)
     if 2 * g - 2 + n <= 0 or sum(d) != dim_target(g, n):
         return 0
@@ -115,10 +103,6 @@ def _tn(g, d):
         return 2
     if g == 1 and d == (1,):
         return 1
-    key = (g, d)
-    val = _MEMO.get(key)
-    if val is not None:
-        return val
 
     rest = d[:-1]
     if d[-1] == 1 and PREFER_STRING_PIVOT:
@@ -153,29 +137,23 @@ def _tn(g, d):
         total += 2 * rest.count(v) * (2 * v + 1) * _tn(g, sub)
 
     if piv >= 2:
-        splits = _splits(rest)
-        for a in range(piv - 1):
-            b = piv - 2 - a
-            # one connected surface of genus g-1
-            if g >= 1:
-                total += 4 * _tn(g - 1, _sorted(rest + (a, b)))
-            # splittings into two stable pieces; the genus of each side is
-            # forced by its degree count
-            for s1, c1, i1, i2, ways in splits:
-                g1_num = a + s1 - c1 + 2
-                if g1_num % 3:
-                    continue
-                g1 = g1_num // 3
-                g2 = g - g1
-                if g1 < 0 or g2 < 0:
-                    continue
+        # one connected surface of genus g-1
+        if g >= 1:
+            for a in range(piv - 1):
+                total += 4 * _tn(g - 1, _sorted(rest + (a, piv - 2 - a)))
+        # splittings into two stable pieces, a + b = piv - 2: the genus of
+        # each side is forced by its degree count, 3 g1 = a + s1 - c1 + 2
+        # with 0 <= g1 <= g, so a runs over one residue class mod 3
+        for s1, c1, i1, i2, ways in _splits(rest):
+            lo = c1 - s1 - 2
+            for a in range(lo if lo >= 0 else lo % 3, min(piv - 2, 3 * g + lo) + 1, 3):
+                g1 = (a - lo) // 3
                 t1 = _tn(g1, _sorted(i1 + (a,)))
                 if not t1:
                     continue
-                t2 = _tn(g2, _sorted(i2 + (b,)))
-                if not t2:
-                    continue
-                total += ways * t1 * t2
+                t2 = _tn(g - g1, _sorted(i2 + (piv - 2 - a,)))
+                if t2:
+                    total += ways * t1 * t2
 
     _MEMO[key] = total
     return total
@@ -193,19 +171,30 @@ def virasoro_tau(g, d):
     return Rat(_tn(g, d), _scale(g, d))
 
 
-def a_gn_oracle(g, n):
-    """The generating polynomial in the monomial basis: coefficients are
-    the intersection numbers themselves."""
+def integer_class(g, n, cap=None):
+    """(2^(4g-2+n), {lam padded to n parts: T(g, lam)}) over the partitions
+    lam of 3g - 3 + n with lam_1 <= cap (all of them without a cap) and
+    T != 0: the integer form of A_{g,n}, whose coefficient of m_lam is
+    T(g, lam) / (2^(4g-2+n) prod_i (2 lam_i + 1)!!)."""
     if n < 1 or 2 * g - 2 + n <= 0:
         raise ValueError("inadmissible (g, n) = (%d, %d)" % (g, n))
     d = dim_target(g, n)
     terms = {}
-    for lam in partition_class(d, n):
+    for lam in partition_class(d, n) if cap is None else enumerate_partitions(d, n, max_part=cap):
         full = lam + (0,) * (n - len(lam))
         t = _tn(g, full)
         if t:
-            terms[lam] = Rat(t, _scale(g, full))
-    return SymPoly(n, MONOMIAL, terms)
+            terms[full] = t
+    return 1 << (4 * g - 2 + n), terms
+
+
+def a_gn_oracle(g, n):
+    """The generating polynomial in the monomial basis: coefficients are
+    the intersection numbers themselves."""
+    _, terms = integer_class(g, n)
+    return SymPoly._make(
+        n, MONOMIAL, {ptrim(lam): Rat(t, _scale(g, lam)) for lam, t in terms.items()}
+    )
 
 
 def closed_a0n(n):

@@ -26,6 +26,23 @@ mu_1 = beta_1 - (n - 1) <= 2n - 5.  Multiplication by p_3 only adds
 cells, so the bootstrap computes H(A_{g,n}) and each ribbon image on the
 shapes inside that box alone (``box_width``).
 
+The box also bounds what the bootstrap asks the oracle for.  [s_mu] of a
+monomial combination f is the coefficient of x^beta, beta = mu + delta,
+in a_delta f: a signed sum of [m_alpha] f over alpha = beta - w(delta),
+whose entries are at most those of beta.  In the box beta_1 =
+mu_1 + n - 1 <= 3n - 6, so only the lam with lam_1 <= 3n - 6 are read
+(4 548 of the 16 475 partitions at (g, n) = (15, 7)).
+
+The whole route runs in integers.  The oracle's class
+{lam: T(g, lam)} over lam_1 <= 3n - 6, with T = 2^(4g-2+n)
+prod (2 lam_i + 1)!! <tau_lam>_g, is already dden(lam) times the monomial
+coefficients of A_{g,n} up to the scale 2^(4g-2+n), which is what H reads
+(``hop.h_integers``).  H gives y_mu / den_g on the box shapes, the p_3
+ribbon chain runs on those integers, and each P_r sums its images over the
+common denominator of the weights (-1)^k 2^g / (12^k k! den_g), so a
+``Rat`` is built once per emitted coefficient.  A caller's provider enters
+the same route through ``hop.monomial_integers``.
+
 ``DTable`` is the persistent store for the Schur coefficients of the
 P_{r,n}; its line-oriented ASCII format is canonical (identical tables
 serialize to identical bytes).
@@ -35,10 +52,17 @@ import math
 from itertools import islice
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, rat_from_str
-from .partitions import enumerate_partitions, format_partition, parse_partition, ptrim
+from .partitions import (
+    enumerate_partitions,
+    format_partition,
+    hook_numbers,
+    parse_partition,
+    ptrim,
+)
 from . import laurent
-from .hop import HContext, barnes_constant
-from .sympoly import SCHUR, SymPoly, power_sum_times_schur
+from .hop import barnes_constant, h_integers, monomial_integers
+from .oracle import integer_class
+from .sympoly import SCHUR, SymPoly, raise_ribbons, shape_of_beads
 
 FILE_HEADER = "# dtable v1"
 
@@ -67,18 +91,19 @@ def box_width(n):
 # ---------------------------------------------------------------------------
 
 
-def bootstrap_p(r, n, a_provider):
-    """P_{r,n} in the Schur basis from generating polynomials of genus <= r.
-
-    ``a_provider(g)`` must return the exact A_{g,n} as a SymPoly.
-    """
+def bootstrap_p(r, n, a_provider=None):
+    """P_{r,n} in the Schur basis from generating polynomials of genus <= r
+    (see :func:`bootstrap_all`)."""
     return bootstrap_all(r, n, a_provider)[r]
 
 
-def bootstrap_all(r_top, n, a_provider):
-    """All components P_{0,n} .. P_{r_top,n} at once, sharing one H image
-    and one incremental p_3-ribbon chain per genus, both restricted to the
-    shapes with mu_1 <= 2n - 5 (see the module docstring)."""
+def bootstrap_all(r_top, n, a_provider=None):
+    """All components P_{0,n} .. P_{r_top,n} at once, in integers from the
+    oracle to the table, restricted to the shapes with mu_1 <= 2n - 5 (see
+    the module docstring).
+
+    ``a_provider(g)``, if given, must return the exact A_{g,n} as a SymPoly;
+    by default the oracle's integer class (lam_1 <= 3n - 6) is read."""
     if n < 3:
         raise ValueError("the bootstrap starts at n = 3")
     if not 0 <= r_top <= r_max(n):
@@ -90,21 +115,47 @@ def bootstrap_all(r_top, n, a_provider):
             % (r_top, n, MAX_CLASS_SIZE, d)
         )
     width = box_width(n)
-    hop = HContext(n)
-    acc = {r: SymPoly.zero(n, SCHUR) for r in range(r_top + 1)}
+    top = width + n - 1  # the largest bead of a box shape, = 3n - 6
+    # per genus: H(A_{g,n}) = y / den on the box shapes, y keyed by beads
+    images = []
     for g in range(r_top + 1):
-        term = hop.apply(a_provider(g), width)
+        if a_provider is None:
+            scale, padded = integer_class(g, n, top)
+        else:
+            a = a_provider(g)
+            if a.n != n:
+                raise ValueError("provider gave A_{%d,n} in %d variables for n = %d" % (g, a.n, n))
+            scale, padded = monomial_integers(a)
+        lcm, y = h_integers(padded, n, width)
+        images.append((scale * lcm, {hook_numbers(mu, n): c for mu, c in y.items()}))
+    # p_3^k H(A_{g,n}) enters P_{g+k,n} with (-1)^k 2^g / (12^k k! den_g);
+    # each P_r sums in integers over the common denominator of its weights
+    weight = {
+        (g, r): Rat((-1) ** (r - g) << g, 12 ** (r - g) * math.factorial(r - g) * den)
+        for g, (den, _) in enumerate(images)
+        for r in range(g, r_top + 1)
+    }
+    common = [
+        math.lcm(*(int(weight[g, r].denominator) for g in range(r + 1)))
+        for r in range(r_top + 1)
+    ]
+    acc = [{} for _ in range(r_top + 1)]
+    for g, (_, term) in enumerate(images):
         for r in range(g, r_top + 1):
-            k = r - g
-            c = Rat((-1) ** k * (1 << g), 12 ** k * math.factorial(k))
-            acc[r] = acc[r] + term.scale(c)
+            c = weight[g, r]
+            w = int(c.numerator) * (common[r] // int(c.denominator))
+            into = acc[r]
+            for beta, v in term.items():
+                into[beta] = into.get(beta, 0) + w * v
             if r < r_top:
-                term = power_sum_times_schur(term, 3, width)
-    for r, p in acc.items():
-        want = degree_rn(r, n)
-        if any(sum(k) != want for k in p.terms):
+                term = raise_ribbons(term, 3, top)
+    out = {}
+    for r, into in enumerate(acc):
+        terms = {shape_of_beads(beta): Rat(v, common[r]) for beta, v in into.items() if v}
+        if any(sum(mu) != degree_rn(r, n) for mu in terms):
             raise AssertionError("inhomogeneous bootstrap output at (r=%d, n=%d)" % (r, n))
-    return acc
+        out[r] = SymPoly._make(n, SCHUR, terms)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +359,13 @@ class DTable:
                 clean[k] = v
         self.blocks[(r, n)] = clean
 
-    def ensure(self, r, n, a_provider):
+    def ensure(self, r, n, a_provider=None):
         """Compute and store the (r, n) block if missing; returns it."""
         if not self.has(r, n):
             self.ensure_upto(r, n, a_provider)
         return self.blocks[(r, n)]
 
-    def ensure_upto(self, r_top, n, a_provider):
+    def ensure_upto(self, r_top, n, a_provider=None):
         if all(self.has(r, n) for r in range(r_top + 1)):
             return
         for r, p in bootstrap_all(r_top, n, a_provider).items():
@@ -354,7 +405,9 @@ class DTable:
         followed by exactly T coefficient lines and the data must end in a
         newline, so a truncated file is rejected instead of loading as a
         smaller block.  Headers without a term count still load.  A
-        repeated (n, r) header and a zero denominator are rejected too."""
+        repeated (n, r) header, a partition repeated within a block, a
+        coefficient line before the first header and a zero denominator are
+        rejected too."""
         lines = data.splitlines()
         if not lines or lines[0] != FILE_HEADER:
             raise ValueError("unrecognized table header")
@@ -387,9 +440,17 @@ class DTable:
                 table.counted = table.counted and bool(ttok)
                 coeffs = {}
             else:
+                if cur is None:
+                    raise ValueError("line %d: coefficient before any block header" % lineno)
                 ptok, vtok = line.split()
+                nu = parse_partition(ptok)
+                if nu in coeffs:
+                    raise ValueError(
+                        "line %d repeats partition %s in block (r=%d, n=%d)"
+                        % ((lineno, format_partition(nu)) + cur)
+                    )
                 try:
-                    coeffs[parse_partition(ptok)] = rat_from_str(vtok)
+                    coeffs[nu] = rat_from_str(vtok)
                 except ZeroDivisionError:
                     raise ValueError("line %d: zero denominator in %r" % (lineno, line)) from None
         flush()

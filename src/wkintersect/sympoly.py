@@ -15,9 +15,14 @@ coefficient for one shape, as a signed sum over the permutations w with
 mu + delta - w(delta) >= 0.  Monomial to Schur calls it once per
 requested shape; Schur to monomial is the unitriangular elimination that
 calls it once per shape on the monomial part found so far, and each
-inverse Kostka number is one call on a single monomial.  The elementary
-basis goes through the transposed-shape Kostka numbers, grown by
-vertical strips.
+inverse Kostka number is one call on a single monomial.  The kernel runs
+on integers and keys the monomial coefficients by a multiset code,
+sum_a 1 << (bits * a) over the entries a of the padded partition with
+bits = n.bit_length(): every field holds a multiplicity up to n, so a
+rearrangement of the exponents has the same code, and the walk over
+permutations adds one field per position instead of sorting at every
+leaf.  The elementary basis goes through the transposed-shape Kostka
+numbers, grown by vertical strips.
 Kostka columns themselves (horizontal-strip Pieri growth) serve the
 questions that really are Kostka columns.
 
@@ -165,7 +170,8 @@ def inverse_kostka(lam, mu):
     if sum(lam) != sum(mu):
         raise ValueError("inverse Kostka needs equal weights: %r vs %r" % (lam, mu))
     nrows = max(len(lam), len(mu), 1)
-    return _alternant_coefficient({lam + (0,) * (nrows - len(lam)): 1}, mu, nrows)
+    code = _multiset_code(lam + (0,) * (nrows - len(lam)), nrows)
+    return _alternant_coefficient({code: 1}, mu, nrows)
 
 
 def clear_caches():
@@ -314,35 +320,57 @@ def _integer_terms(terms):
     return den, [(k, int(v.numerator) * (den // int(v.denominator))) for k, v in terms.items()]
 
 
-def _alternant_coefficient(padded, mu, n):
+def _multiset_code(alpha, n):
+    """sum_a 1 << (bits * a) over the entries a of alpha, bits =
+    n.bit_length(): one field per value counts its multiplicity.  No
+    multiplicity in an n-tuple (at most n < 2**bits) overflows its field,
+    so two n-tuples share a code exactly when they are rearrangements of
+    each other."""
+    bits = n.bit_length()
+    code = 0
+    for a in alpha:
+        code += 1 << (bits * a)
+    return code
+
+
+def _alternant_coefficient(coded, mu, n):
     """Coefficient of x^(mu+delta) in a_delta * f, for f given by its
-    monomial coefficients keyed by partitions padded to n parts.
+    monomial coefficients keyed by the multiset codes of the partitions
+    (padded to n parts; see :func:`_multiset_code`).
 
     Positions are filled from the smallest entry of beta = mu + delta
     upward, each taking an unused entry v of delta with v <= beta_i, so a
     negative exponent is cut as soon as it would arise; the sign counts
-    the inversions of the assignment."""
+    the inversions of the assignment.  The code of alpha = beta - w(delta)
+    grows with each position, and the last position takes the one value
+    left (never above beta_1 >= n - 1), so no leaf sorts anything."""
     beta = [(mu[i] if i < len(mu) else 0) + n - 1 - i for i in range(n)]
-    alpha = [0] * n
+    last = beta[0]
+    pw = [_multiset_code((a,), n) for a in range(last + 1)]
+    full = (1 << n) - 1
+    get = coded.get
     total = 0
 
-    def fill(i, used, inv):
+    def fill(i, used, inv, code):
         nonlocal total
         b = beta[i]
         for v in range(min(b, n - 1) + 1):
             bit = 1 << v
             if used & bit:
                 continue
-            alpha[i] = b - v
             k = inv + (used >> v).bit_count()
-            if i:
-                fill(i - 1, used | bit, k)
-            else:
-                c = padded.get(tuple(sorted(alpha, reverse=True)))
-                if c:
-                    total += -c if k & 1 else c
+            if i > 1:
+                fill(i - 1, used | bit, k, code + pw[b - v])
+                continue
+            rest = used | bit
+            w = (full ^ rest).bit_length() - 1
+            c = get(code + pw[b - v] + pw[last - w])
+            if c:
+                total += -c if (k + (rest >> w).bit_count()) & 1 else c
 
-    fill(n - 1, 0, 0)
+    if n == 1:
+        return get(pw[last], 0)
+    fill(n - 1, 0, 0, 0)
     return total
 
 
@@ -363,6 +391,19 @@ def _shapes_to_read(keys, n, width=None):
         for mu in enumerate_partitions(d, n, max_part=cap):
             if mu + (0,) * (n - len(mu)) <= top:
                 yield mu
+
+
+def schur_integers(padded, n, width=None):
+    """{mu: [s_mu] f} != 0 for an integer f = {partition padded to n parts:
+    [m_lam] f}, read off the alternant one shape at a time; with ``width``
+    only the shapes with mu_1 <= width are read."""
+    coded = {_multiset_code(lam, n): c for lam, c in padded.items()}
+    out = {}
+    for mu in _shapes_to_read(padded, n, width):
+        c = _alternant_coefficient(coded, mu, n)
+        if c:
+            out[mu] = c
+    return out
 
 
 def _distinct_permutations(padded):
@@ -596,7 +637,7 @@ class SymPoly:
         for lam in _shapes_to_read(schur, n):
             c = schur.get(lam, 0) - _alternant_coefficient(found, lam, n)
             if c:
-                found[lam + (0,) * (n - len(lam))] = c
+                found[_multiset_code(lam + (0,) * (n - len(lam)), n)] = c
                 out[lam] = Rat(c, den)
         return SymPoly._make(n, MONOMIAL, out)
 
@@ -608,13 +649,8 @@ class SymPoly:
         mu_1 <= width are read."""
         n = self.n
         den, items = _integer_terms(self.terms)
-        padded = {lam + (0,) * (n - len(lam)): c for lam, c in items}
-        out = {}
-        for mu in _shapes_to_read(padded, n, width):
-            c = _alternant_coefficient(padded, mu, n)
-            if c:
-                out[mu] = Rat(c, den)
-        return SymPoly._make(n, SCHUR, out)
+        z = schur_integers({lam + (0,) * (n - len(lam)): c for lam, c in items}, n, width)
+        return SymPoly._make(n, SCHUR, {mu: Rat(c, den) for mu, c in z.items()})
 
     def _elementary_to_schur(self):
         out = {}
@@ -708,33 +744,44 @@ class SymPoly:
 def power_sum_times_schur(poly, r=3, width=None):
     """Multiply a Schur-basis SymPoly by the power sum p_r.
 
-    On shifted rows (beta numbers) the product p_r * s_nu is the signed
-    sum over ways of raising one shifted row by r, the sign counting the
-    rows jumped over while re-sorting; collisions vanish.  With ``width``
-    only the shapes with mu_1 <= width are kept: every shape of the
-    product contains nu, so what is cut never returns under further
+    With ``width`` only the shapes with mu_1 <= width are kept: every shape
+    of the product contains nu, so what is cut never returns under further
     multiplication.
     """
     if poly.basis != SCHUR:
         raise ValueError("ribbon multiplication expects the Schur basis")
     n = poly.n
+    top = None if width is None else width + n - 1
+    w = raise_ribbons({hook_numbers(nu, n): c for nu, c in poly.terms.items()}, r, top)
+    return SymPoly._make(n, SCHUR, {shape_of_beads(beta): c for beta, c in w.items()})
+
+
+def shape_of_beads(beta):
+    """The partition with the strictly decreasing shifted rows beta."""
+    n = len(beta)
+    return ptrim(b - (n - 1 - i) for i, b in enumerate(beta))
+
+
+def raise_ribbons(w, r, top=None):
+    """p_r times a Schur combination {beta: c} keyed by beta numbers (the
+    strictly decreasing shifted rows mu_i + n - i): raise one bead by r
+    onto a free position, the sign counting the beads jumped over;
+    collisions vanish.  With ``top`` a result whose largest bead would
+    pass ``top`` is dropped.  The values may be ints or exact rationals."""
     out = {}
-    for nu, c in poly.terms.items():
-        L = hook_numbers(nu, n)
-        lset = set(L)
-        for i in range(n):
-            top = L[i] + r
-            if top in lset:
+    for beta, c in w.items():
+        if top is not None and beta[0] > top:
+            continue
+        for i, b in enumerate(beta):
+            t = b + r
+            j = i
+            while j and beta[j - 1] < t:
+                j -= 1
+            if j:
+                if beta[j - 1] == t:
+                    continue
+            elif top is not None and t > top:
                 continue
-            jumps = sum(1 for x in L if L[i] < x < top)
-            sign = -1 if jumps & 1 else 1
-            newL = sorted(lset - {L[i]} | {top}, reverse=True)
-            mu = ptrim(x - (n - j - 1) for j, x in enumerate(newL))
-            if width is not None and mu[0] > width:
-                continue
-            w = out.get(mu, RAT_ZERO) + (c if sign > 0 else -c)
-            if w:
-                out[mu] = w
-            elif mu in out:
-                del out[mu]
-    return SymPoly._make(n, SCHUR, out)
+            key = beta[:j] + (t,) + beta[j:i] + beta[i + 1 :]
+            out[key] = out.get(key, 0) + (-c if (i - j) & 1 else c)
+    return {k: v for k, v in out.items() if v}

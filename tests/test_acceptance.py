@@ -39,10 +39,6 @@ from wkintersect.sympoly import (
 import random
 
 
-def provider(n):
-    return lambda g: oracle.a_gn_oracle(g, n)
-
-
 def as_terms(golden):
     return {k: rat_from_str(v) for k, v in golden.items()}
 
@@ -61,7 +57,7 @@ def run_cli(args, cache_dir):
 def test_criterion_1_schur_table(dtable):
     """Golden Schur-basis components for n = 3, 4, 5, all r."""
     for n in (3, 4, 5):
-        dtable.ensure_upto(r_max(n), n, provider(n))
+        dtable.ensure_upto(r_max(n), n)
         for r in range(r_max(n) + 1):
             assert dtable.get(r, n) == as_terms(TABLE_SCHUR[(r, n)]), (r, n)
     assert dtable.get(1, 5)[(1, 1, 1, 1, 1)] == Rat(17, 10)
@@ -72,7 +68,7 @@ def test_criterion_2_elementary_tables(dtable, cli_cache):
     """Golden elementary-basis components for n = 3..5 and the full n = 6
     family through the command-line surface."""
     for n in (3, 4, 5):
-        dtable.ensure_upto(r_max(n), n, provider(n))
+        dtable.ensure_upto(r_max(n), n)
         for r in range(r_max(n) + 1):
             got = dtable.p_rn(r, n).change_basis(ELEMENTARY).terms
             assert got == as_terms(TABLE_ELEMENTARY[(r, n)]), (r, n)
@@ -116,7 +112,7 @@ def test_criterion_4_oracle_equivalence(dtable):
     3 <= n <= 5, g <= 4 and n = 6, g <= 3.  Exact equality."""
     checked = 0
     for n, gtop in ((3, 4), (4, 4), (5, 4), (6, 3)):
-        dtable.ensure_upto(min(gtop, r_max(n)), n, provider(n))
+        dtable.ensure_upto(min(gtop, r_max(n)), n)
         for g in range(0, gtop + 1):
             if 2 * g - 2 + n <= 0:
                 continue
@@ -132,7 +128,7 @@ def test_criterion_4_oracle_equivalence(dtable):
 def test_criterion_5_route_equivalence(dtable):
     """Determinantal route equals the bootstrap sum at n = 3, 4 (exact)."""
     for n in (3, 4):
-        dtable.ensure_upto(r_max(n), n, provider(n))
+        dtable.ensure_upto(r_max(n), n)
         total = SymPoly.zero(n, SCHUR)
         for r in range(r_max(n) + 1):
             total = total + dtable.p_rn(r, n)
@@ -143,7 +139,7 @@ def test_criterion_5_route_equivalence(dtable):
 @pytest.mark.extended
 def test_criterion_5_route_equivalence_extended(dtable):
     n = 5
-    dtable.ensure_upto(r_max(n), n, provider(n))
+    dtable.ensure_upto(r_max(n), n)
     total = SymPoly.zero(n, SCHUR)
     for r in range(r_max(n) + 1):
         total = total + dtable.p_rn(r, n)
@@ -245,8 +241,8 @@ def test_criterion_7_property_suite(dtable):
 
     # remainder structure: P_{r,n} - e1 P_{r,n-1} is divisible by e_n, n <= 5
     for n in (4, 5):
-        dtable.ensure_upto(r_max(n), n, provider(n))
-        dtable.ensure_upto(r_max(n - 1), n - 1, provider(n - 1))
+        dtable.ensure_upto(r_max(n), n)
+        dtable.ensure_upto(r_max(n - 1), n - 1)
         for r in range(r_max(n - 1) + 1):
             big = dtable.p_rn(r, n).change_basis(ELEMENTARY)
             small = dtable.p_rn(r, n - 1).change_basis(ELEMENTARY)

@@ -188,6 +188,8 @@ def test_malformed_cache_is_io_error(tmp_path):
     [
         "# dtable v1\nn=3 r=0 terms=1\n- 1\n\nn=3 r=0 terms=1\n- 2\n",  # a repeated block
         "# dtable v1\nn=3 r=0 terms=1\n- 1/0\n",  # a zero denominator
+        "# dtable v1\nn=3 r=0 terms=1\n- 1\n- 2\n",  # a repeated partition
+        "# dtable v1\nn=3 r=0\n- 1\n- 2\n",  # the same without a term count
     ],
 )
 def test_damaged_cache_is_io_error(tmp_path, data):

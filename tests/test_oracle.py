@@ -5,7 +5,8 @@ import pytest
 
 from brute import dvv_fraction
 from wkintersect.rational import Rat
-from wkintersect.partitions import partition_class
+from wkintersect.hop import _dden
+from wkintersect.partitions import partition_class, ptrim
 from wkintersect import oracle
 from wkintersect.sympoly import MONOMIAL
 
@@ -186,3 +187,26 @@ def test_a_gn_oracle_dimension_support():
         poly = oracle.a_gn_oracle(g, n)
         assert all(sum(k) == 3 * g - 3 + n for k in poly.terms)
         assert all(v > 0 for v in poly.terms.values())
+
+
+def test_integer_class_capped_at_the_box_read():
+    # the bootstrap's read set: T(g, lam) over lam_1 <= 3n - 6, padded to n
+    # parts, against virasoro_tau times 2^(4g-2+n) prod (2 lam_i + 1)!!
+    for g, n in ((3, 4), (6, 5), (5, 6)):
+        cap = 3 * n - 6
+        scale, full = oracle.integer_class(g, n)
+        assert scale == 2 ** (4 * g - 2 + n)
+        want = {}
+        for lam in partition_class(3 * g - 3 + n, n):
+            d = lam + (0,) * (n - len(lam))
+            dden = math.prod(math.prod(range(2 * x + 1, 0, -2)) for x in d)
+            t = oracle.virasoro_tau(g, d) * scale * dden
+            assert t.denominator == 1
+            if t:
+                want[d] = int(t)
+        assert full == want
+        assert {lam: oracle.a_gn_oracle(g, n).terms[ptrim(lam)] * scale * _dden(lam)
+                for lam in full} == full
+        _, capped = oracle.integer_class(g, n, cap)
+        assert capped == {lam: t for lam, t in full.items() if lam[0] <= cap}
+        assert len(capped) < len(full)

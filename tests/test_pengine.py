@@ -100,12 +100,25 @@ def test_n7_table_certified_against_the_oracle():
     hop.clear_caches()
     oracle.clear_memo()
     table = DTable()
-    table.ensure_upto(r_max(7), 7, provider(7))
+    table.ensure_upto(r_max(7), 7)
     with open(N7_TABLE, encoding="ascii") as fh:
         assert table.dumps() == fh.read()
     for g in range(r_max(7) + 1):
         hop.clear_caches()
         assert intersect.a_gn(g, 7, dtable=table) == oracle.a_gn_oracle(g, 7), g
+
+
+def test_provider_enters_the_integer_bootstrap_linearly():
+    # a caller's SymPoly, in any basis, goes through the same integer kernel
+    # as the oracle's default integer class
+    for n in (4, 5):
+        every = bootstrap_all(r_max(n), n)
+        tripled = bootstrap_all(
+            r_max(n), n, lambda g: oracle.a_gn_oracle(g, n).change_basis(SCHUR).scale(3)
+        )
+        assert tripled == {r: p.scale(3) for r, p in every.items()}
+    with pytest.raises(ValueError, match="in 5 variables for n = 4"):
+        bootstrap_all(1, 4, lambda g: oracle.a_gn_oracle(g, 5))
 
 
 def test_bootstrap_refuses_fewer_than_three_points():
@@ -265,6 +278,23 @@ def test_dtable_rejects_a_repeated_block():
         DTable.loads(data)
     with pytest.raises(ValueError, match="repeats block"):
         DTable.loads(data.replace(" terms=1", ""))
+
+
+def test_dtable_rejects_a_repeated_partition():
+    # a later line for the same partition must not replace the earlier one,
+    # whether or not the header counts the block's terms
+    data = "# dtable v1\nn=3 r=0 terms=1\n- 1\n- 2\n"
+    with pytest.raises(ValueError, match="line 4 repeats partition - in block"):
+        DTable.loads(data)
+    with pytest.raises(ValueError, match="line 4 repeats partition -"):
+        DTable.loads(data.replace(" terms=1", ""))
+    with pytest.raises(ValueError, match="line 4 repeats partition 1,1,1"):
+        DTable.loads("# dtable v1\nn=3 r=1 terms=2\n1,1,1 1/2\n1,1,1,0 1/2\n")
+
+
+def test_dtable_rejects_a_coefficient_before_any_header():
+    with pytest.raises(ValueError, match="line 2: coefficient before any block header"):
+        DTable.loads("# dtable v1\n- 1\nn=3 r=0 terms=1\n- 1\n")
 
 
 def test_dtable_zero_denominator_is_a_value_error():

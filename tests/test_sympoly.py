@@ -23,6 +23,8 @@ from wkintersect.sympoly import (
     inverse_kostka,
     kostka,
     kostka_column,
+    _alternant_coefficient,
+    _multiset_code,
     power_sum_times_schur,
 )
 
@@ -128,6 +130,44 @@ def test_column_read_equals_inverse_kostka_rows():
         for width in (1, 2, 5):
             cut = {mu: v for mu, v in want.items() if v and (not mu or mu[0] <= width)}
             assert f._monomial_to_schur(width) == SymPoly(n, SCHUR, cut), (n, width)
+
+
+def _fields(code, bits):
+    """{value: multiplicity} read back off a multiset code."""
+    out = {}
+    a = 0
+    while code:
+        m = code & ((1 << bits) - 1)
+        if m:
+            out[a] = m
+        code >>= bits
+        a += 1
+    return out
+
+
+def test_multiset_code_fields_hold_a_multiplicity_of_n():
+    # the alternant kernel keys coefficients by sum_a 1 << (bits * a) with
+    # bits = n.bit_length(); the field of a value must hold every
+    # multiplicity up to n, which all parts equal reaches (at n = 8 a
+    # 3-bit field would overflow into the next value's)
+    for n in (7, 8):
+        bits = n.bit_length()
+        for a in range(5):
+            assert _fields(_multiset_code((a,) * n, n), bits) == {a: n}
+        codes = {}
+        for d in range(13):
+            for lam in partition_class(d, n):
+                padded = lam + (0,) * (n - len(lam))
+                code = _multiset_code(padded, n)
+                assert code == _multiset_code(padded[::-1], n)
+                want = {}
+                for x in padded:
+                    want[x] = want.get(x, 0) + 1
+                assert _fields(code, bits) == want
+                assert codes.setdefault(code, padded) == padded
+        # the kernel on one all-equal monomial: S_{lam,lam} = 1
+        lam = (3,) * n
+        assert _alternant_coefficient({_multiset_code(lam, n): 1}, lam, n) == 1
 
 
 def test_kostka_times_inverse_is_identity_small():
