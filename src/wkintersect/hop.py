@@ -104,15 +104,14 @@ class HContext:
             raise ValueError("need at least one variable")
         self.n = n
 
-    def apply(self, poly, width=None):
+    def apply(self, poly):
         """H(poly), returned in the Schur basis: the integer H of
         :func:`h_integers` on :func:`monomial_integers`, divided once per
-        coefficient.  With ``width`` only the shapes with mu_1 <= width
-        are computed."""
+        coefficient."""
         if poly.n != self.n:
             raise ValueError("variable count mismatch")
         scale, padded = monomial_integers(poly)
-        den, y = h_integers(padded, self.n, width)
+        den, y = h_integers(padded, self.n)
         den *= scale
         return SymPoly._make(self.n, SCHUR, {mu: Rat(c, den) for mu, c in y.items()})
 

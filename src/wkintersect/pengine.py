@@ -129,21 +129,15 @@ def bootstrap_all(r_top, n, a_provider=None):
         lcm, y = h_integers(padded, n, width)
         images.append((scale * lcm, {hook_numbers(mu, n): c for mu, c in y.items()}))
     # p_3^k H(A_{g,n}) enters P_{g+k,n} with (-1)^k 2^g / (12^k k! den_g);
-    # each P_r sums in integers over the common denominator of its weights
-    weight = {
-        (g, r): Rat((-1) ** (r - g) << g, 12 ** (r - g) * math.factorial(r - g) * den)
-        for g, (den, _) in enumerate(images)
-        for r in range(g, r_top + 1)
-    }
-    common = [
-        math.lcm(*(int(weight[g, r].denominator) for g in range(r + 1)))
-        for r in range(r_top + 1)
-    ]
+    # each P_r sums in integers over the lcm of those denominators
+    def den(g, r):
+        return 12 ** (r - g) * math.factorial(r - g) * images[g][0]
+
+    common = [math.lcm(*(den(g, r) for g in range(r + 1))) for r in range(r_top + 1)]
     acc = [{} for _ in range(r_top + 1)]
     for g, (_, term) in enumerate(images):
         for r in range(g, r_top + 1):
-            c = weight[g, r]
-            w = int(c.numerator) * (common[r] // int(c.denominator))
+            w = (-1) ** (r - g) * 2**g * (common[r] // den(g, r))
             into = acc[r]
             for beta, v in term.items():
                 into[beta] = into.get(beta, 0) + w * v

@@ -741,18 +741,12 @@ class SymPoly:
 # ---------------------------------------------------------------------------
 
 
-def power_sum_times_schur(poly, r=3, width=None):
-    """Multiply a Schur-basis SymPoly by the power sum p_r.
-
-    With ``width`` only the shapes with mu_1 <= width are kept: every shape
-    of the product contains nu, so what is cut never returns under further
-    multiplication.
-    """
+def power_sum_times_schur(poly, r=3):
+    """Multiply a Schur-basis SymPoly by the power sum p_r."""
     if poly.basis != SCHUR:
         raise ValueError("ribbon multiplication expects the Schur basis")
     n = poly.n
-    top = None if width is None else width + n - 1
-    w = raise_ribbons({hook_numbers(nu, n): c for nu, c in poly.terms.items()}, r, top)
+    w = raise_ribbons({hook_numbers(nu, n): c for nu, c in poly.terms.items()}, r)
     return SymPoly._make(n, SCHUR, {shape_of_beads(beta): c for beta, c in w.items()})
 
 

@@ -89,6 +89,14 @@ def test_bootstrap_n7_matches_unpruned_bootstrap():
     assert {r: p.terms for r, p in every.items()} == want
 
 
+def test_default_bootstrap_n7_matches_unpruned_bootstrap():
+    # the oracle's capped integer class, the path `wk dtable` runs, against
+    # the unpruned bootstrap of the full A_{g,7}
+    every = bootstrap_all(6, 7)
+    want = bootstrap_unpruned(6, 7, provider(7))
+    assert {r: p.terms for r, p in every.items()} == want
+
+
 N7_TABLE = os.path.join(os.path.dirname(__file__), "dtable_n7.txt")
 
 
