@@ -25,7 +25,7 @@ input) is kept for low-degree cross-checks.
 
 import math
 
-from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int
+from .rational import Rat, double_factorial_odd_int
 from .partitions import ptrim
 from . import laurent
 from . import sympoly
@@ -127,15 +127,15 @@ class HContext:
 
     def apply_raw(self, poly, assert_polynomial=True):
         """H via its differential realization: antisymmetrized derivatives of
-        sqrt(e_n) times the input, then Vandermonde division.  Exponential in
-        n; meant for low-degree cross-checks of :meth:`apply`."""
+        sqrt(e_n) times the input, then Vandermonde division, on the integer
+        :class:`~wkintersect.laurent.LaurentPoly` with one ``Rat`` per
+        emitted coefficient.  Exponential in n; meant for low-degree
+        cross-checks of :meth:`apply`."""
         if poly.n != self.n:
             raise ValueError("variable count mismatch")
         n = self.n
-        expo = poly.to_exponent_poly()
-        work = laurent.LaurentPoly(
-            n, {tuple(2 * e for e in k): v for k, v in expo.terms.items()}
-        )
+        den, items = sympoly._integer_terms(poly.to_exponent_poly().terms)
+        work = laurent.LaurentPoly(n, {tuple(2 * e for e in k): c for k, c in items}, den)
         work = work.shift_all(1)  # multiply by sqrt(e_n)
         for i in range(n):
             for j in range(i + 1, n):
@@ -143,22 +143,19 @@ class HContext:
         # the result is antisymmetric, so collecting over the symmetric group
         # overcounts each alternant by n!
         classes = laurent.antisym_classes(work)
-        classes = laurent.class_shift(classes, 2 * n - 3)  # e_n^(n - 3/2)
-        scale = RAT_ONE / (barnes_constant(n) * math.factorial(n))
+        classes = classes.shift_all(2 * n - 3)  # e_n^(n - 3/2)
+        norm = barnes_constant(n) * math.factorial(n)
+        num, den = int(norm.denominator), int(norm.numerator) * classes.den
         out = {}
-        for ex, c in classes.items():
-            c = c * scale
-            if not c:
-                continue
+        for ex, c in classes.terms.items():
             if any(e % 2 for e in ex):
                 raise AssertionError("half-integer exponent survived")
             if ex[-1] < 0:
                 if assert_polynomial:
                     raise AssertionError("negative exponent survived")
                 continue
-            mu = ptrim(ex[i] // 2 - (n - i - 1) for i in range(n))
-            out[mu] = out.get(mu, RAT_ZERO) + c
-        return SymPoly(n, SCHUR, {k: v for k, v in out.items() if v})
+            out[ptrim(ex[i] // 2 - (n - i - 1) for i in range(n))] = Rat(c * num, den)
+        return SymPoly._make(n, SCHUR, out)
 
 
 def clear_caches():

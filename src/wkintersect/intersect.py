@@ -170,8 +170,7 @@ def tau(g, d, dtable=None, a_provider=None):
     """
     d = tuple(d)
     n = len(d)
-    if n < 1 or 2 * g - 2 + n <= 0:
-        raise ValueError("inadmissible (g, n) = (%d, %d)" % (g, n))
+    oracle_mod.require_stable(g, n)
     if any(x < 0 for x in d):
         raise ValueError("negative tau index in %r" % (d,))
     if sum(d) != degree_rn(g, n):
@@ -230,8 +229,7 @@ def a_gn(g, n, basis=MONOMIAL, dtable=None, a_provider=None):
     """Generating polynomial A_{g,n} through the coefficient tables:
     24^g A_{g,n} = H^{-1}(X_{g,n}) with X_{g,n} = sum_r 12^r / (g-r)!
     p_3^(g-r) P_{r,n}."""
-    if n < 1 or 2 * g - 2 + n <= 0:
-        raise ValueError("inadmissible (g, n) = (%d, %d)" % (g, n))
+    oracle_mod.require_stable(g, n)
     if n <= 2:
         return oracle_mod.a_gn_oracle(g, n).change_basis(basis)
     dtable, top = _tables(g, n, dtable, a_provider)
@@ -291,8 +289,9 @@ def w_gn(g, n, dtable=None, a_provider=None):
     """Correlator coefficients straight from the tables: the Kostka numbers
     cancel, leaving c_mu = GammaRatio(mu) X_mu / 12^g with X = X_{g,n} the
     Schur image that also gives :func:`a_gn`."""
-    if n < 3 or 2 * g - 2 + n <= 0:
+    if n < 3:
         raise ValueError("correlator tables start at n = 3")
+    oracle_mod.require_stable(g, n)
     dtable, top = _tables(g, n, dtable, a_provider)
     scale = Rat(1, 12 ** g)
     coeffs = {}

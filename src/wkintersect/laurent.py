@@ -1,61 +1,58 @@
 """Multivariate Laurent-type polynomials on the half-integer exponent
-lattice, with exact derivative calculus.
+lattice, with exact derivative calculus in integers.
 
 Exponents are stored doubled, so ``u1^(3/2)`` carries 3 in the first
-slot; every term keeps an exact rational coefficient.  The direct
-determinantal computation works entirely in this representation and
-finishes by antisymmetrizing, which collapses a polynomial into signed
-"alternant classes" (strictly decreasing exponent vectors); dividing an
-alternant by the Vandermonde is then index arithmetic instead of actual
-polynomial division.
+slot.  A polynomial holds integer coefficients over one denominator: the
+value is sum_k terms[k] u^(k/2) / den.  Products multiply denominators,
+a derivative multiplies each coefficient by its doubled exponent and
+doubles the denominator, and a sum brings both sides over the lcm, so no
+loop builds a rational; the caller divides once per coefficient it keeps.
+The direct determinantal computation works entirely in this
+representation and finishes by antisymmetrizing, which collapses a
+polynomial into signed "alternant classes" (strictly decreasing exponent
+vectors, held in a LaurentPoly of their own); dividing an alternant by the
+Vandermonde is then index arithmetic instead of actual polynomial
+division.
 """
 
-from .rational import RAT_ZERO, Rat
+import math
+from itertools import combinations
+from operator import add
 
 
 class LaurentPoly:
-    """Sparse terms: doubled-exponent tuple -> Rat."""
+    """Sparse terms: doubled-exponent tuple -> int, all over ``den``."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "den")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, terms=None, den=1):
         self.n = n
         self.terms = {} if terms is None else terms
+        self.den = den
 
     @classmethod
     def constant(cls, n, value):
-        value = Rat(value)
         return cls(n, {(0,) * n: value} if value else {})
 
     @classmethod
     def variable_power(cls, n, i, doubled_exp, coeff=1):
         key = tuple(doubled_exp if j == i else 0 for j in range(n))
-        return cls(n, {key: Rat(coeff)})
+        return cls(n, {key: coeff})
 
-    def is_zero(self):
-        return not self.terms
+    def _combine(self, other, sign):
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        terms = {k: fa * v for k, v in self.terms.items()}
+        get = terms.get
+        for k, v in other.terms.items():
+            terms[k] = get(k, 0) + fb * v
+        return LaurentPoly(self.n, {k: v for k, v in terms.items() if v}, den)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            w = terms.get(k, RAT_ZERO) + v
-            if w:
-                terms[k] = w
-            elif k in terms:
-                del terms[k]
-        return LaurentPoly(self.n, terms)
-
-    def __neg__(self):
-        return LaurentPoly(self.n, {k: -v for k, v in self.terms.items()})
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Rat(c)
-        if not c:
-            return LaurentPoly(self.n)
-        return LaurentPoly(self.n, {k: c * v for k, v in self.terms.items()})
+        return self._combine(other, -1)
 
     def mul(self, other, cap_doubled=None):
         """Product; terms whose total doubled degree exceeds the cap are
@@ -63,99 +60,73 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        by_degree = sorted((sum(k), k, v) for k, v in b.items())
         out = {}
+        get = out.get
         for ka, va in a.items():
-            for kb, vb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                if cap_doubled is not None and sum(k) > cap_doubled:
-                    continue
-                w = out.get(k, RAT_ZERO) + va * vb
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        return LaurentPoly(self.n, out)
+            room = math.inf if cap_doubled is None else cap_doubled - sum(ka)
+            for db, kb, vb in by_degree:
+                if db > room:
+                    break
+                k = tuple(map(add, ka, kb))
+                out[k] = get(k, 0) + va * vb
+        return LaurentPoly(self.n, {k: v for k, v in out.items() if v}, self.den * other.den)
 
     def __mul__(self, other):
         return self.mul(other)
 
     def diff(self, i):
-        """Exact d/du_i on half-integer powers: u^(e/2) -> (e/2) u^(e/2-1)."""
+        """Exact d/du_i on half-integer powers: u^(e/2) -> (e/2) u^(e/2-1),
+        the factor e on the coefficient and the 1/2 on the denominator."""
         out = {}
         for k, v in self.terms.items():
             e = k[i]
-            if e == 0:
-                continue
-            kk = k[:i] + (e - 2,) + k[i + 1 :]
-            w = out.get(kk, RAT_ZERO) + v * Rat(e, 2)
-            if w:
-                out[kk] = w
-            elif kk in out:
-                del out[kk]
-        return LaurentPoly(self.n, out)
+            if e:
+                out[k[:i] + (e - 2,) + k[i + 1 :]] = e * v
+        return LaurentPoly(self.n, out, 2 * self.den)
 
     def shift_all(self, doubled):
         """Multiply by prod_i u_i^(doubled/2)."""
         return LaurentPoly(
-            self.n, {tuple(e + doubled for e in k): v for k, v in self.terms.items()}
+            self.n, {tuple(e + doubled for e in k): v for k, v in self.terms.items()}, self.den
         )
 
-    def total_degree_doubled(self):
-        return max((sum(k) for k in self.terms), default=0)
 
-
-def _sort_sign(key):
-    """Descending sort of a distinct-entry tuple and the permutation sign."""
-    order = sorted(range(len(key)), key=key.__getitem__, reverse=True)
-    inv = 0
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b]:
-                inv += 1
-    return tuple(key[i] for i in order), (-1 if inv & 1 else 1)
+def _antisymmetrize(pairs, n, den):
+    """Collect (exponent tuple, int) pairs into signed alternant classes:
+    a key with a repeated entry cancels, any other adds its value, times
+    the sign of the permutation sorting it descending, to its sorted key.
+    That sign counts the index pairs i < j with key_i < key_j."""
+    below = list(combinations(range(n), 2))
+    out = {}
+    get = out.get
+    for k, v in pairs:
+        if len(set(k)) != n:
+            continue
+        srt = tuple(sorted(k, reverse=True))
+        out[srt] = get(srt, 0) + (-v if sum([k[i] < k[j] for i, j in below]) & 1 else v)
+    return LaurentPoly(n, {k: v for k, v in out.items() if v}, den)
 
 
 def antisym_classes(poly):
     """Antisymmetrize over all variable permutations, reported as signed
-    alternant classes {strictly-decreasing doubled exponents: coeff}.
-
-    A monomial with a repeated exponent cancels; otherwise it contributes
-    its coefficient times the sign of the sorting permutation to the class
-    of its sorted exponent vector.
-    """
-    out = {}
-    for k, v in poly.terms.items():
-        if len(set(k)) != len(k):
-            continue
-        srt, sign = _sort_sign(k)
-        w = out.get(srt, RAT_ZERO) + (v if sign > 0 else -v)
-        if w:
-            out[srt] = w
-        elif srt in out:
-            del out[srt]
-    return out
+    alternant classes: a LaurentPoly over the same denominator keyed by
+    strictly-decreasing doubled exponents."""
+    return _antisymmetrize(poly.terms.items(), poly.n, poly.den)
 
 
-def class_mul_symmetric(classes, sym_terms, cap_doubled=None):
-    """Multiply alternant classes by a symmetric Laurent polynomial given as
-    a plain term dict; re-antisymmetrizes the shifted classes."""
-    out = {}
-    for ex, c in classes.items():
-        for k, v in sym_terms.items():
-            key = tuple(x + y for x, y in zip(ex, k))
-            if cap_doubled is not None and sum(key) > cap_doubled:
-                continue
-            if len(set(key)) != len(key):
-                continue
-            srt, sign = _sort_sign(key)
-            w = out.get(srt, RAT_ZERO) + (c * v if sign > 0 else -c * v)
-            if w:
-                out[srt] = w
-            elif srt in out:
-                del out[srt]
-    return out
+def class_mul_symmetric(classes, sym, cap_doubled):
+    """Multiply alternant classes by a symmetric LaurentPoly; re-antisymmetrizes
+    the shifted classes, over the product of the two denominators.  Products
+    whose total doubled degree exceeds the cap are dropped."""
+    by_degree = sorted((sum(k), k, v) for k, v in sym.terms.items())
 
+    def products():
+        for ex, c in classes.terms.items():
+            room = cap_doubled - sum(ex)
+            for d, k, v in by_degree:
+                if d > room:
+                    break
+                yield tuple(map(add, ex, k)), c * v
 
-def class_shift(classes, doubled):
-    """Shift every class by prod_i u_i^(doubled/2) (order is preserved)."""
-    return {tuple(e + doubled for e in k): v for k, v in classes.items()}
+    return _antisymmetrize(products(), classes.n, classes.den * sym.den)

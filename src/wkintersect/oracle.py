@@ -14,14 +14,20 @@ The memo holds integers.  For d sorted in descending order it stores
 The double factorials turn every DVV coefficient into an integer except
 one 1/2, and the exponent 4g-2+n, additive under both splittings,
 absorbs that 1/2 and the seed 1/24 (T(0, (0,0,0)) = 2, T(1, (1,)) = 1).
-Three pivots reduce an index, the first two only while
-``PREFER_STRING_PIVOT`` is set:
+Three pivots reduce an index:
 
 * string (last index 0): T = 2 sum_v mult (2v+1) T(g, d with v -> v-1);
 * dilaton (last index 1, no zeros): T(g, S u {1}) = 6 (2g-3+n) T(g, S);
-* largest index piv = k+1: T = sum_v 2 mult (2v+1) T(g, S with v -> v+k)
+* DVV on one index piv = k+1: T = sum_v 2 mult (2v+1) T(g, S with v -> v+k)
   + 4 sum_{a+b=k-1} T(g-1, S u {a,b})
   + sum_{a+b=k-1} sum_{I u J = S} T(g1, I u {a}) T(g2, J u {b}).
+
+DVV holds at any marked point, so only the cost depends on the pivot.
+Once string and dilaton have removed the 0s and 1s it pivots on the
+smallest index, whose split sums are the shortest and whose new points
+are the smallest.  ``PREFER_STRING_PIVOT = False`` is a test switch: it
+turns string and dilaton off, and DVV then pivots on the largest index
+(the smallest may be 0), so the tests compare two different recursions.
 
 ``Fraction`` appears only at the edge: ``virasoro_tau`` and
 ``a_gn_oracle`` divide each T by its scale once.  ``integer_class`` hands
@@ -44,7 +50,8 @@ from .sympoly import (
 _MEMO = {}
 
 # when True, a last index of 0 or 1 is pivoted first (the recursion then
-# degenerates to the cheap string or dilaton equation); correctness is
+# degenerates to the cheap string or dilaton equation) and DVV takes the
+# smallest index; when False, DVV always takes the largest.  Correctness is
 # independent of the pivot and tested as such
 PREFER_STRING_PIVOT = True
 
@@ -60,6 +67,14 @@ def _dfo(k):
 def dim_target(g, n):
     """Required total degree 3g - 3 + n."""
     return 3 * g - 3 + n
+
+
+def require_stable(g, n):
+    """Raise ValueError unless g >= 0, n >= 1 and 2g - 2 + n > 0."""
+    if g < 0:
+        raise ValueError("negative genus %d" % g)
+    if n < 1 or 2 * g - 2 + n <= 0:
+        raise ValueError("inadmissible (g, n) = (%d, %d)" % (g, n))
 
 
 def _splits(rest):
@@ -124,9 +139,12 @@ def _tn(g, d):
         _MEMO[key] = total
         return total
 
-    # pivot on the largest index
-    piv = d[0]
-    rest = d[1:]
+    if PREFER_STRING_PIVOT:
+        # pivot on the smallest index, at least 2 here
+        piv = d[-1]
+    else:
+        # pivot on the largest index: the smallest may be 0
+        piv, rest = d[0], d[1:]
     total = 0
 
     # join terms
@@ -163,8 +181,7 @@ def virasoro_tau(g, d):
     """<tau_{d_1} ... tau_{d_n}>_g via the recursion; exact Rat."""
     d = tuple(d)
     n = len(d)
-    if n < 1 or 2 * g - 2 + n <= 0:
-        raise ValueError("inadmissible (g, n) = (%d, %d)" % (g, n))
+    require_stable(g, n)
     if any(x < 0 for x in d):
         raise ValueError("negative tau index in %r" % (d,))
     d = _sorted(d)
@@ -176,8 +193,7 @@ def integer_class(g, n, cap=None):
     lam of 3g - 3 + n with lam_1 <= cap (all of them without a cap) and
     T != 0: the integer form of A_{g,n}, whose coefficient of m_lam is
     T(g, lam) / (2^(4g-2+n) prod_i (2 lam_i + 1)!!)."""
-    if n < 1 or 2 * g - 2 + n <= 0:
-        raise ValueError("inadmissible (g, n) = (%d, %d)" % (g, n))
+    require_stable(g, n)
     d = dim_target(g, n)
     terms = {}
     for lam in partition_class(d, n) if cap is None else enumerate_partitions(d, n, max_part=cap):

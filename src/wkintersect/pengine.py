@@ -9,9 +9,12 @@ polynomial from oracle-supplied generating polynomials:
 ``direct_p`` evaluates the determinantal realization instead: the trace
 of a product of explicit 2x2 Laurent matrices, dressed with truncated
 cubic exponentials, hit with a reduced grid of derivative differences,
-antisymmetrized and divided by the Vandermonde.  The two routes share
-no code beyond exact arithmetic, which is the point: their agreement
-validates both.
+antisymmetrized and divided by the Vandermonde.  It runs in integers
+over one denominator per polynomial (:mod:`laurent`): the matrices are
+scaled by 4, exp(+-p_3/12) goes over the common denominator 12^K K!, and
+each derivative doubles the denominator.  The two routes share no code
+beyond exact arithmetic, which is the point: their agreement validates
+both.
 
 Every Schur shape mu of P_{r,n} satisfies mu_1 <= 2n - 5, which the
 direct route shows (it equals P_n by the paper; the tests check that at
@@ -157,43 +160,43 @@ def bootstrap_all(r_top, n, a_provider=None):
 # ---------------------------------------------------------------------------
 
 
-def _mtilde(n, i):
-    """The 2x2 Laurent matrix [[-u/2, -1], [u^2/4 + 1/(2u), u/2]] in slot i."""
+def _mtilde4(n, i):
+    """4 Mtilde(u_i) = [[-2u, -4], [u^2 + 2/u, 2u]] in slot i, in integers."""
     lp = laurent.LaurentPoly
-    a = lp.variable_power(n, i, 2, Rat(-1, 2))
-    b = lp.constant(n, -1)
-    c = lp.variable_power(n, i, 4, Rat(1, 4)) + lp.variable_power(n, i, -2, Rat(1, 2))
-    d = lp.variable_power(n, i, 2, Rat(1, 2))
+    a = lp.variable_power(n, i, 2, -2)
+    b = lp.constant(n, -4)
+    c = lp.variable_power(n, i, 4) + lp.variable_power(n, i, -2, 2)
+    d = lp.variable_power(n, i, 2, 2)
     return ((a, b), (c, d))
 
 
 def trace_mtilde_product(n):
-    """Tr prod_i Mtilde(u_i) as a LaurentPoly in n variables."""
-    m = _mtilde(n, 0)
+    """Tr prod_i Mtilde(u_i) as a LaurentPoly in n variables: the trace of
+    the integer matrices 4 Mtilde(u_i), over the denominator 4^n."""
+    m = _mtilde4(n, 0)
     for i in range(1, n):
-        mi = _mtilde(n, i)
+        mi = _mtilde4(n, i)
         m = (
             (m[0][0] * mi[0][0] + m[0][1] * mi[1][0], m[0][0] * mi[0][1] + m[0][1] * mi[1][1]),
             (m[1][0] * mi[0][0] + m[1][1] * mi[1][0], m[1][0] * mi[0][1] + m[1][1] * mi[1][1]),
         )
-    return m[0][0] + m[1][1]
+    return laurent.LaurentPoly(n, (m[0][0] + m[1][1]).terms, 4**n)
 
 
-def _exp_p3_terms(n, sign, cap_doubled):
-    """Term dict of exp(sign * p_3 / 12) truncated at the doubled-degree cap."""
-    p3 = laurent.LaurentPoly(
-        n, {tuple(6 if j == i else 0 for j in range(n)): RAT_ONE for i in range(n)}
-    )
-    acc = laurent.LaurentPoly.constant(n, 1)
+def _exp_p3(n, sign, cap_doubled):
+    """exp(sign * p_3 / 12) truncated at the doubled-degree cap, over the
+    common denominator 12^K K! of its powers p_3^k / (12^k k!), k <= K."""
+    top = cap_doubled // 6
+    den = 12**top * math.factorial(top)
+    p3 = laurent.LaurentPoly(n, {tuple(6 if j == i else 0 for j in range(n)): 1 for i in range(n)})
     term = laurent.LaurentPoly.constant(n, 1)
-    k = 0
-    while 6 * (k + 1) <= cap_doubled:
-        k += 1
-        term = term.mul(p3, cap_doubled).scale(Rat(sign, 12 * k))
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc.terms
+    terms = {(0,) * n: den}
+    for k in range(1, top + 1):
+        term = term * p3
+        w = sign**k * (den // (12**k * math.factorial(k)))
+        # p_3^k is homogeneous of doubled degree 6k, so no key repeats
+        terms.update((key, w * c) for key, c in term.terms.items())
+    return laurent.LaurentPoly(n, terms, den)
 
 
 def direct_p(n, extra_truncation=0, n_limit=5):
@@ -205,6 +208,9 @@ def direct_p(n, extra_truncation=0, n_limit=5):
     derivative differences under the Laplace transform.  (Including the
     wrap-around pair (1, n) would make the whole antisymmetrization vanish
     by reversal symmetry of the trace.)
+
+    Every step runs on the integer :class:`~wkintersect.laurent.LaurentPoly`
+    over one denominator; a ``Rat`` is built once per emitted coefficient.
 
     Exact up to the nominal maximum degree; raising ``extra_truncation``
     by multiples of 3 widens every internal series truncation, which must
@@ -221,26 +227,26 @@ def direct_p(n, extra_truncation=0, n_limit=5):
     series_cap = work_cap + 3 * n
 
     work = trace_mtilde_product(n).shift_all(-1)  # divide by sqrt(e_n)
-    work = work.mul(
-        laurent.LaurentPoly(n, _exp_p3_terms(n, +1, series_cap)), work_cap
-    )
+    work = work.mul(_exp_p3(n, +1, series_cap), work_cap)
     for i in range(n):
         for j in range(i + 2, n):
             if i == 0 and j == n - 1:
                 continue
             work = work.diff(i) - work.diff(j)
     classes = laurent.antisym_classes(work)
-    classes = laurent.class_mul_symmetric(classes, _exp_p3_terms(n, -1, series_cap))
-    classes = laurent.class_shift(classes, 2 * n - 3)  # e_n^(n - 3/2)
+    # the exact window ends at doubled degree 2 dmax + n(n - 1) and the shift
+    # by e_n^(n - 3/2) adds n(2n - 3), so a product above 2 dmax - n(n - 2)
+    # is a truncation artifact
+    classes = laurent.class_mul_symmetric(
+        classes, _exp_p3(n, -1, series_cap), 2 * dmax - n * (n - 2)
+    )
+    classes = classes.shift_all(2 * n - 3)  # e_n^(n - 3/2)
 
-    norm = RAT_ONE / (barnes_constant(n) * n * (1 << (n - 1)))
+    # P_n = classes / (den D_n n 2^(n-1)), divided once per coefficient
+    norm = barnes_constant(n) * n * (1 << (n - 1))
+    num, den = int(norm.denominator), int(norm.numerator) * classes.den
     terms = {}
-    for ex, c in classes.items():
-        c = c * norm
-        if not c:
-            continue
-        if sum(ex) > 2 * (dmax + n * (n - 1) // 2):
-            continue  # truncation artifacts live above the exact window
+    for ex, c in classes.terms.items():
         if any(e % 2 for e in ex):
             raise AssertionError("half-integer exponent in direct route output")
         if ex[-1] < 0:
@@ -249,8 +255,8 @@ def direct_p(n, extra_truncation=0, n_limit=5):
         d = sum(mu)
         if (d - (n - 3)) % 3:
             raise AssertionError("off-lattice degree %d in direct route output" % d)
-        terms[mu] = terms.get(mu, RAT_ZERO) + c
-    return SymPoly(n, SCHUR, {k: v for k, v in terms.items() if v})
+        terms[mu] = Rat(c * num, den)
+    return SymPoly._make(n, SCHUR, terms)
 
 
 # ---------------------------------------------------------------------------

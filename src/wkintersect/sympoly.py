@@ -342,35 +342,49 @@ def _alternant_coefficient(coded, mu, n):
     upward, each taking an unused entry v of delta with v <= beta_i, so a
     negative exponent is cut as soon as it would arise; the sign counts
     the inversions of the assignment.  The code of alpha = beta - w(delta)
-    grows with each position, and the last position takes the one value
-    left (never above beta_1 >= n - 1), so no leaf sorts anything."""
+    grows with each position, and the last two positions close in one
+    step: with lo < hi the two values left, (beta_1 - lo, beta_0 - hi)
+    enters with the sign so far and (beta_1 - hi, beta_0 - lo), when
+    hi <= beta_1, with the opposite one (beta_0 >= n - 1 >= hi), so no
+    leaf sorts anything."""
     beta = [(mu[i] if i < len(mu) else 0) + n - 1 - i for i in range(n)]
-    last = beta[0]
-    pw = [_multiset_code((a,), n) for a in range(last + 1)]
+    b0, b1 = beta[0], beta[1] if n > 1 else 0
+    pw = [_multiset_code((a,), n) for a in range(b0 + 1)]
     full = (1 << n) - 1
     get = coded.get
     total = 0
 
-    def fill(i, used, inv, code):
+    def close(used, inv, code):
         nonlocal total
+        free = full ^ used
+        hi = free.bit_length() - 1
+        lo = (free & -free).bit_length() - 1
+        if lo > b1:
+            return
+        c = get(code + pw[b1 - lo] + pw[b0 - hi], 0)
+        if hi <= b1:
+            c -= get(code + pw[b1 - hi] + pw[b0 - lo], 0)
+        if c:
+            total += -c if (inv + (used >> lo).bit_count() + (used >> hi).bit_count()) & 1 else c
+
+    def fill(i, used, inv, code):
         b = beta[i]
         for v in range(min(b, n - 1) + 1):
             bit = 1 << v
             if used & bit:
                 continue
             k = inv + (used >> v).bit_count()
-            if i > 1:
+            if i > 2:
                 fill(i - 1, used | bit, k, code + pw[b - v])
-                continue
-            rest = used | bit
-            w = (full ^ rest).bit_length() - 1
-            c = get(code + pw[b - v] + pw[last - w])
-            if c:
-                total += -c if (k + (rest >> w).bit_count()) & 1 else c
+            else:
+                close(used | bit, k, code + pw[b - v])
 
     if n == 1:
-        return get(pw[last], 0)
-    fill(n - 1, 0, 0, 0)
+        return get(pw[b0], 0)
+    if n == 2:
+        close(0, 0, 0)
+    else:
+        fill(n - 1, 0, 0, 0)
     return total
 
 

@@ -33,6 +33,16 @@ def test_tau_domain_error(tmp_path):
     assert code == 2
 
 
+def test_negative_genus_is_a_domain_error(tmp_path, capsys):
+    for args in (
+        ["agn", "--genus", "-1", "-n", "5"],
+        ["tau", "--genus", "-1", "--powers", "0,0,0,0,0"],
+    ):
+        code, out = run_cli(args, tmp_path)
+        assert code == 2 and out == ""
+        assert "negative genus -1" in capsys.readouterr().err
+
+
 def test_pn_outputs(tmp_path):
     code, out = run_cli(["pn", "-n", "4", "-r", "3", "--basis", "schur"], tmp_path)
     assert code == 0 and out == "s[3,3,2,2] 1/24\n"

@@ -7,7 +7,7 @@ from brute import dvv_fraction
 from wkintersect.rational import Rat
 from wkintersect.hop import _dden
 from wkintersect.partitions import partition_class, ptrim
-from wkintersect import oracle
+from wkintersect import intersect, oracle
 from wkintersect.sympoly import MONOMIAL
 
 
@@ -33,6 +33,21 @@ def test_inadmissible_raises():
         oracle.virasoro_tau(0, ())
     with pytest.raises(ValueError):
         oracle.virasoro_tau(1, (-1, 2))
+
+
+def test_negative_genus_is_a_domain_error():
+    # every stable-looking (2g - 2 + n > 0) index with g < 0 is refused by
+    # name, in the oracle and in the formula's entry points alike
+    for call in (
+        lambda: oracle.virasoro_tau(-1, (0,) * 5),
+        lambda: oracle.a_gn_oracle(-1, 5),
+        lambda: oracle.integer_class(-1, 5),
+        lambda: intersect.tau(-1, (0,) * 5),
+        lambda: intersect.a_gn(-1, 5),
+        lambda: intersect.w_gn(-1, 5),
+    ):
+        with pytest.raises(ValueError, match="negative genus -1"):
+            call()
 
 
 def test_permutation_symmetry():
@@ -81,6 +96,24 @@ def _indices(n, g_max):
 def _sweep():
     for n in range(1, 6):
         yield from _indices(n, 8 if n <= 2 else 3)
+
+
+def test_pivot_independence_on_whole_classes():
+    # the smallest-index DVV pivot (the default, after string and dilaton)
+    # against the largest-index one on every index of n = 5, g <= 8
+    sweep = list(_indices(5, 8))
+    assert len(sweep) == 1163
+    oracle.clear_memo()
+    smallest = [oracle._tn(g, d) for g, d in sweep]
+    oracle.clear_memo()
+    oracle.PREFER_STRING_PIVOT = False
+    try:
+        largest = [oracle._tn(g, d) for g, d in sweep]
+    finally:
+        oracle.PREFER_STRING_PIVOT = True
+        oracle.clear_memo()
+    assert smallest == largest
+    assert all(smallest)
 
 
 def test_matches_fraction_dvv():
