@@ -15,7 +15,9 @@ Since Q_{nu,mu} = <p_3^k s_nu, s_mu> / k!, every Q sum is a chain of
 
 * ``tau`` runs the adjoint chain downward from its own Kostka column,
   W_0 = sum_mu K_{mu,lam} G(mu) s_mu and W_{k+1} = p_3^perp W_k, and
-  dots W_{g-r} with the table block P_{r,n};
+  dots W_{g-r} with the table block P_{r,n}; all of it on beta numbers
+  and integers, from the bead-keyed column to the table's bead view of
+  each block;
 * ``a_gn`` and ``w_gn`` read one upward image
   X_{g,n} = sum_r 12^r / (g-r)! p_3^(g-r) P_{r,n}: the generating
   polynomial is H^{-1}(X) / 24^g, the correlator coefficients are
@@ -31,7 +33,7 @@ import math
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int, gamma_half_ratio
 from .partitions import format_partition, hook_numbers, ptrim
-from .hop import HContext, _dden, _gnum
+from .hop import HContext, _dden
 from . import oracle as oracle_mod
 from .pengine import DTable, degree_rn, r_max
 from .sympoly import (
@@ -40,6 +42,7 @@ from .sympoly import (
     SymPoly,
     kostka_column,
     power_sum_times_schur,
+    runner_counts,
 )
 
 
@@ -146,14 +149,6 @@ def _lower_ribbons(w):
     return {k: v for k, v in out.items() if v}
 
 
-def _runner_counts(beta):
-    """Beads on each runner of the 3-abacus, which fix the 3-core."""
-    counts = [0, 0, 0]
-    for b in beta:
-        counts[b % 3] += 1
-    return tuple(counts)
-
-
 def tau(g, d, dtable=None, a_provider=None):
     """Intersection number <tau_{d_1} ... tau_{d_n}>_g by the closed formula.
 
@@ -163,7 +158,13 @@ def tau(g, d, dtable=None, a_provider=None):
 
         tau = sum_r 12^r / (g-r)! <P_{r,n}, W_{g-r}> / (dden(lam) 24^g).
 
-    n = 1, 2 delegate to the recursion oracle (the determinantal chain
+    Everything runs on beta numbers (beads) beta_i = mu_i + n - 1 - i: the
+    Kostka column is grown on beads, G(mu) = gnum(mu) is the product of the
+    per-bead factors phi(beta_i) / phi(n-1-i) with
+    phi(L) = prod_{0<=m<=L} (2m - 2n + 3), the ribbon chain lowers beads,
+    and each block enters through the table's integer bead view, so the
+    dot product with P_{r,n} is an integer sum and one ``Rat`` is built per
+    r.  n = 1, 2 delegate to the recursion oracle (the determinantal chain
     behind the coefficient tables starts at three points).  Missing table
     blocks are bootstrapped on demand through ``a_provider`` (defaults to
     the oracle's integer classes).
@@ -179,37 +180,42 @@ def tau(g, d, dtable=None, a_provider=None):
         return oracle_mod.virasoro_tau(g, d)
     lam = tuple(sorted(d, reverse=True))
     dtable, top = _tables(g, n, dtable, a_provider)
+    views = [dtable.beads(r, n) for r in range(top + 1)]
 
-    # mu >= lam with K_{mu,lam} != 0, as integers keyed by beta numbers.
+    # phi[L] for every bead a shape of weight |lam| can carry; the
+    # denominators phi(n-1-i) are the same for every mu and join the final
+    # division
+    phi = [3 - 2 * n]
+    for m in range(1, sum(lam) + n):
+        phi.append(phi[-1] * (2 * m - 2 * n + 3))
     # Ribbon moves keep the 3-core, i.e. the bead count on each runner of
     # the 3-abacus, so only shapes whose count some table entry shares can
     # reach a block.
-    cores = {
-        _runner_counts(hook_numbers(nu, n))
-        for r in range(top + 1)
-        for nu in dtable.get(r, n)
-    }
+    cores = set().union(*(view[2] for view in views))
     w = {}
-    for mu, kos in kostka_column(lam, n).items():
-        beta = hook_numbers(mu, n)
-        if _runner_counts(beta) in cores:
-            w[beta] = kos * _gnum(mu)
+    for beta, kos in kostka_column(lam, n).items():
+        if runner_counts(beta) in cores:
+            for b in beta:
+                kos *= phi[b]
+            w[beta] = kos
     total = RAT_ZERO
     for k in range(g + 1):
         r = g - k
         if r <= top:
-            dot = RAT_ZERO
-            for nu, dv in dtable.get(r, n).items():
-                c = w.get(hook_numbers(nu, n))
-                if c:
-                    dot += dv * c
+            den, block, _ = views[r]
+            small, large = (w, block) if len(w) <= len(block) else (block, w)
+            dot = 0
+            for beta, c in small.items():
+                v = large.get(beta)
+                if v:
+                    dot += c * v
             if dot:
-                total += Rat(12 ** r, math.factorial(k)) * dot
+                total += Rat(12 ** r * dot, math.factorial(k) * den)
         if k < g:
             w = _lower_ribbons(w)
             if not w:
                 break
-    return total / (_dden(lam) * 24 ** g)
+    return total / (_dden(lam) * 24 ** g * math.prod(phi[:n]))
 
 
 def _schur_image(g, n, dtable, top):

@@ -65,7 +65,7 @@ from .partitions import (
 from . import laurent
 from .hop import barnes_constant, h_integers, monomial_integers
 from .oracle import integer_class
-from .sympoly import SCHUR, SymPoly, raise_ribbons, shape_of_beads
+from .sympoly import SCHUR, SymPoly, raise_ribbons, runner_counts, shape_of_beads
 
 FILE_HEADER = "# dtable v1"
 
@@ -331,10 +331,16 @@ def trace_shift_invariance(matrices, xs, shifts):
 
 
 class DTable:
-    """Map (r, n) -> {nu: coefficient} with a canonical ASCII file form."""
+    """Map (r, n) -> {nu: coefficient} with a canonical ASCII file form.
+
+    ``beads(r, n)`` gives an integer view of a block for the formula's dot
+    products, built when a query first reads the block.  Blocks are
+    therefore replaced through ``put``, which drops the view; a block must
+    not be mutated in place once a query has read it."""
 
     def __init__(self):
         self.blocks = {}
+        self._beads = {}
         # block headers carry their term count; a table loaded from a file
         # without counts writes none, so it re-serialises to the same bytes
         self.counted = True
@@ -358,6 +364,22 @@ class DTable:
             if v:
                 clean[k] = v
         self.blocks[(r, n)] = clean
+        self._beads.pop((r, n), None)
+
+    def beads(self, r, n):
+        """The (r, n) block over one denominator, keyed by beta numbers:
+        (den, {beta: den * coefficient}, the 3-abacus runner counts of its
+        shapes)."""
+        view = self._beads.get((r, n))
+        if view is None:
+            block = self.blocks[(r, n)]
+            den = math.lcm(*(v.denominator for v in block.values()))
+            ints = {
+                hook_numbers(nu, n): v.numerator * (den // v.denominator)
+                for nu, v in block.items()
+            }
+            view = self._beads[(r, n)] = (den, ints, {runner_counts(b) for b in ints})
+        return view
 
     def ensure(self, r, n, a_provider=None):
         """Compute and store the (r, n) block if missing; returns it."""

@@ -23,8 +23,9 @@ rearrangement of the exponents has the same code, and the walk over
 permutations adds one field per position instead of sorting at every
 leaf.  The elementary basis goes through the transposed-shape Kostka
 numbers, grown by vertical strips.
-Kostka columns themselves (horizontal-strip Pieri growth) serve the
-questions that really are Kostka columns.
+Kostka columns themselves are grown by horizontal strips on beta
+numbers and keyed by them; they serve the questions that really are
+Kostka columns, above all the formula's ``tau``.
 
 All class-level caches are populated once per key and then only read,
 so concurrent readers are safe under the usual single-writer rule.
@@ -55,32 +56,8 @@ BASES = (MONOMIAL, ELEMENTARY, SCHUR)
 # Kostka machinery
 # ---------------------------------------------------------------------------
 
-_KOSTKA_COLUMNS = {}       # (content, nrows) -> {shape: int}
+_KOSTKA_COLUMNS = {}       # (content, nrows) -> {beta: int}
 _DUAL_COLUMNS = {}         # (content, nrows) -> {shape: K_{shape^T, content}}
-
-
-def _hstrip_additions(shape, k, nrows):
-    """Shapes obtained from ``shape`` by adding a horizontal k-strip."""
-    L = len(shape)
-    maxrow = min(L + 1, nrows)
-    out = []
-    acc = []
-
-    def rec(i, rem):
-        if i == maxrow:
-            if rem == 0:
-                out.append(tuple(x for x in acc if x))
-            return
-        lo = shape[i] if i < L else 0
-        # at most one new box per column: row i may not pass the OLD row above
-        hi = min(shape[i - 1] if i else lo + rem, lo + rem)
-        for v in range(hi, lo - 1, -1):
-            acc.append(v)
-            rec(i + 1, rem - (v - lo))
-            acc.pop()
-
-    rec(0, k)
-    return out
 
 
 def _vstrip_additions(shape, k, nrows):
@@ -114,21 +91,55 @@ def _vstrip_additions(shape, k, nrows):
     return out
 
 
+def _add_hstrip(col, k):
+    """Every shape of a bead-keyed column (at least two beads) with a
+    horizontal k-strip added, multiplicities summed."""
+    out = {}
+    get = out.get
+    for beta, c in col.items():
+        # the choices for beads n-1 .. 2 as (suffix, rest of k); a bead
+        # stuck below its neighbour (equal rows) has one value
+        tails = [((), k)]
+        for i in range(len(beta) - 1, 1, -1):
+            lo = beta[i]
+            span = beta[i - 1] - 1 - lo
+            if span <= 0:
+                tails = [((lo,) + t, rem) for t, rem in tails]
+                continue
+            tails = [
+                ((lo + a,) + t, rem - a)
+                for t, rem in tails
+                for a in range(min(span, rem) + 1)
+            ]
+        # beads 1 and 0 close each choice directly
+        top, lo = beta[0], beta[1]
+        span = top - 1 - lo
+        for t, rem in tails:
+            for a in range(min(span, rem) + 1):
+                key = (top + rem - a, lo + a) + t
+                out[key] = get(key, 0) + c
+    return out
+
+
 def kostka_column(content, nrows):
-    """All Kostka numbers K_{mu, content} at once: {mu: K} over shapes with
-    at most nrows rows.  Iterated Pieri growth, one horizontal strip per
-    part of the content."""
+    """All Kostka numbers K_{mu, content} at once: {beta: K} keyed by the
+    beta numbers beta_i = mu_i + nrows - 1 - i of the shapes mu with at most
+    nrows rows (``shape_of_beads`` gives mu back).  Iterated Pieri growth,
+    one horizontal strip per non-zero part k of the content: a strip
+    interlaces the old beads, so new bead i >= 1 lies in
+    [beta_i, beta_{i-1} - 1] and bead 0 takes what is left of k
+    (Macdonald I.5)."""
     key = (content, nrows)
     col = _KOSTKA_COLUMNS.get(key)
     if col is None:
-        cur = {(): 1}
-        for part in content:
-            nxt = {}
-            for shape, c in cur.items():
-                for t in _hstrip_additions(shape, part, nrows):
-                    nxt[t] = nxt.get(t, 0) + c
-            cur = nxt
-        col = _KOSTKA_COLUMNS[key] = cur
+        if nrows == 1:
+            col = {(sum(content),): 1}   # one row takes any content one way
+        else:
+            col = {tuple(range(nrows - 1, -1, -1)): 1}
+            for part in content:
+                if part:
+                    col = _add_hstrip(col, part)
+        _KOSTKA_COLUMNS[key] = col
     return col
 
 
@@ -156,9 +167,10 @@ def kostka(mu, lam):
     lam = ptrim(lam)
     if sum(mu) != sum(lam):
         raise ValueError("Kostka number needs equal weights: %r vs %r" % (mu, lam))
-    if len(mu) > max(len(lam), 1):
+    nrows = max(len(lam), 1)
+    if len(mu) > nrows:
         return 0
-    return kostka_column(lam, max(len(lam), 1)).get(mu, 0)
+    return kostka_column(lam, nrows).get(hook_numbers(mu, nrows), 0)
 
 
 def inverse_kostka(lam, mu):
@@ -768,6 +780,14 @@ def shape_of_beads(beta):
     """The partition with the strictly decreasing shifted rows beta."""
     n = len(beta)
     return ptrim(b - (n - 1 - i) for i, b in enumerate(beta))
+
+
+def runner_counts(beta):
+    """Beads on each runner of the 3-abacus, which fix the 3-core."""
+    counts = [0, 0, 0]
+    for b in beta:
+        counts[b % 3] += 1
+    return tuple(counts)
 
 
 def raise_ribbons(w, r, top=None):

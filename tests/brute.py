@@ -292,7 +292,7 @@ def kostka_row_restricted(mu, nrows):
     if row is None:
         row = {}
         for lam in partition_class(sum(mu), nrows):
-            k = kostka_column(lam, nrows).get(mu)
+            k = kostka_column(lam, nrows).get(hook_numbers(mu, nrows))
             if k:
                 row[lam] = k
         _KOSTKA_ROWS[key] = row

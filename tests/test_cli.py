@@ -80,6 +80,21 @@ def test_dtable_idempotent_and_verify(tmp_path):
     assert code == 0 and "0 mismatches" in out
 
 
+def test_verify_reports_its_coverage_per_n(tmp_path):
+    code, out = run_cli(["verify", "--g-max", "4", "--n-max", "5"], tmp_path)
+    assert code == 0
+    # tau delegates to the recursion at n <= 2: 20 of the 275 indices
+    # compare the oracle with itself
+    assert out.splitlines() == [
+        "n=1: 4 indices, oracle only",
+        "n=2: 16 indices, oracle only",
+        "n=3: 42 indices, formula against oracle",
+        "n=4: 79 indices, formula against oracle",
+        "n=5: 134 indices, formula against oracle",
+        "verified 275 indices, 0 mismatches",
+    ]
+
+
 def test_verify_detects_poisoned_cache(tmp_path):
     run_cli(["dtable", "-n", "3", "--r-max", "1"], tmp_path)
     path = tmp_path / "dtable.txt"

@@ -116,6 +116,29 @@ def test_n7_table_certified_against_the_oracle():
         assert intersect.a_gn(g, 7, dtable=table) == oracle.a_gn_oracle(g, 7), g
 
 
+def test_tau_n7_matches_the_recursion():
+    # the paper's regime on the committed n = 7 table: a Kostka column of
+    # thousands of shapes, ribbon-lowered through twelve genera
+    table = DTable.load(N7_TABLE)
+    d = (6, 6, 6, 6, 6, 5, 5)
+    assert intersect.tau(12, d, table) == oracle.virasoro_tau(12, d)
+
+
+def test_put_drops_the_bead_view():
+    # tau reads each block through an integer view built on first use; a
+    # block replaced through put must be read afresh
+    g, d = 3, (4, 3, 2, 1)
+    table = DTable()
+    first = intersect.tau(g, d, table)
+    table.put(2, 4, {nu: 2 * v for nu, v in table.get(2, 4).items()})
+    second = intersect.tau(g, d, table)
+    fresh = DTable()
+    for (r, n), block in table.blocks.items():
+        fresh.put(r, n, block)
+    assert second != first
+    assert second == intersect.tau(g, d, fresh)
+
+
 def test_provider_enters_the_integer_bootstrap_linearly():
     # a caller's SymPoly, in any basis, goes through the same integer kernel
     # as the oracle's default integer class
