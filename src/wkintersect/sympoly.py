@@ -128,7 +128,9 @@ def kostka_column(content, nrows):
     one horizontal strip per non-zero part k of the content: a strip
     interlaces the old beads, so new bead i >= 1 lies in
     [beta_i, beta_{i-1} - 1] and bead 0 takes what is left of k
-    (Macdonald I.5)."""
+    (Macdonald I.5).  K does not depend on the order of the parts; the
+    smallest go first, which keeps the columns before the last strip
+    small."""
     key = (content, nrows)
     col = _KOSTKA_COLUMNS.get(key)
     if col is None:
@@ -136,7 +138,7 @@ def kostka_column(content, nrows):
             col = {(sum(content),): 1}   # one row takes any content one way
         else:
             col = {tuple(range(nrows - 1, -1, -1)): 1}
-            for part in content:
+            for part in sorted(content):
                 if part:
                     col = _add_hstrip(col, part)
         _KOSTKA_COLUMNS[key] = col
