@@ -7,7 +7,7 @@ arithmetic end to end.
 """
 
 from .rational import Rat, factorial, double_factorial_odd, gamma_half_ratio
-from .partitions import Partition, dominates, enumerate_partitions, transpose
+from .partitions import dominates, enumerate_partitions, transpose
 from .sympoly import (
     ELEMENTARY,
     MONOMIAL,
@@ -19,7 +19,7 @@ from .sympoly import (
     power_sum_times_schur,
 )
 from .hop import HContext, barnes_constant, n_factor
-from .pengine import DTable, bootstrap_p, direct_p, degree_rn, r_max, trace_shift_invariance
+from .pengine import DTable, direct_p, degree_rn, r_max, trace_shift_invariance
 from .intersect import Correlator, a_gn, q_coeff, tau, w_gn, wn_det_truncated
 from .oracle import (
     a_gn_oracle,
@@ -38,14 +38,12 @@ __all__ = [
     "ExponentPoly",
     "HContext",
     "MONOMIAL",
-    "Partition",
     "Rat",
     "SCHUR",
     "SymPoly",
     "a_gn",
     "a_gn_oracle",
     "barnes_constant",
-    "bootstrap_p",
     "closed_a0n",
     "closed_a1n",
     "degree_rn",

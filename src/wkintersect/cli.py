@@ -205,13 +205,10 @@ def cmd_elo(args, out):
     except BoundViolation as exc:
         out.write("MISMATCH %s\n" % (exc,))
         return EXIT_MISMATCH
-    if args.format == "tsv":
-        for r, app, allowed in rows:
-            out.write("%d\t%d\t%d\n" % (r, app, allowed))
-    else:
+    if args.format == "human":
         out.write("r\tappearing\tallowed\n")
-        for r, app, allowed in rows:
-            out.write("%d\t%d\t%d\n" % (r, app, allowed))
+    for r, app, allowed in rows:
+        out.write("%d\t%d\t%d\n" % (r, app, allowed))
     return EXIT_OK
 
 

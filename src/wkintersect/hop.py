@@ -18,16 +18,15 @@ forward direction it is an integer map (``h_integers``): the input is
 gives z_mu = [s_mu] of it, and z_mu L / gnum(mu), with L the lcm of the
 gnum read, is H(A) over the single denominator L times that scale.  The
 recursion oracle's integers T(g, lam) already have that form, and
-``monomial_integers`` puts any SymPoly into it.  A raw differential
-realization (Vandermonde of derivatives acting on sqrt(e_n) times the
-input) is kept for low-degree cross-checks.
+``HContext.apply`` puts any SymPoly into it.  The differential realization
+(Vandermonde of derivatives acting on sqrt(e_n) times the input) is a test
+oracle and lives with the tests.
 """
 
 import math
 
 from .rational import Rat, double_factorial_odd_int
 from .partitions import ptrim
-from . import laurent
 from . import sympoly
 from .sympoly import MONOMIAL, SCHUR, SymPoly
 
@@ -75,16 +74,6 @@ def barnes_constant(n):
     return Rat(sign * p, 1 << (n * (n - 1) // 2))
 
 
-def monomial_integers(poly):
-    """(scale, {lam padded to n parts: c}) with c / scale = dden(lam)
-    [m_lam] poly: the integer input of :func:`h_integers` for any SymPoly
-    (the oracle's :func:`~wkintersect.oracle.integer_class` has the same
-    form)."""
-    n = poly.n
-    scale, items = sympoly._integer_terms(poly.change_basis(MONOMIAL).terms)
-    return scale, {lam + (0,) * (n - len(lam)): c * _dden(lam) for lam, c in items}
-
-
 def h_integers(padded, n, width=None):
     """The integer H.  For f = {lam padded: c} with c / scale = dden(lam)
     [m_lam] A, returns (L, {mu: y}) with [s_mu] H(A) = y / (L scale):
@@ -106,14 +95,16 @@ class HContext:
 
     def apply(self, poly):
         """H(poly), returned in the Schur basis: the integer H of
-        :func:`h_integers` on :func:`monomial_integers`, divided once per
-        coefficient."""
-        if poly.n != self.n:
+        :func:`h_integers` on {lam padded: dden(lam) [m_lam] poly} over one
+        scale, divided once per coefficient."""
+        n = self.n
+        if poly.n != n:
             raise ValueError("variable count mismatch")
-        scale, padded = monomial_integers(poly)
-        den, y = h_integers(padded, self.n)
+        scale, items = sympoly._integer_terms(poly.change_basis(MONOMIAL).terms)
+        padded = {lam + (0,) * (n - len(lam)): c * _dden(lam) for lam, c in items}
+        den, y = h_integers(padded, n)
         den *= scale
-        return SymPoly._make(self.n, SCHUR, {mu: Rat(c, den) for mu, c in y.items()})
+        return SymPoly._make(n, SCHUR, {mu: Rat(c, den) for mu, c in y.items()})
 
     def apply_inverse(self, poly):
         """H^{-1}(poly), returned in the monomial basis: the mirror of
@@ -124,38 +115,6 @@ class HContext:
         z = SymPoly._make(self.n, SCHUR, {mu: c * _gnum(mu) for mu, c in y.items()})
         b = z.change_basis(MONOMIAL).terms
         return SymPoly._make(self.n, MONOMIAL, {lam: v / _dden(lam) for lam, v in b.items()})
-
-    def apply_raw(self, poly, assert_polynomial=True):
-        """H via its differential realization: antisymmetrized derivatives of
-        sqrt(e_n) times the input, then Vandermonde division, on the integer
-        :class:`~wkintersect.laurent.LaurentPoly` with one ``Rat`` per
-        emitted coefficient.  Exponential in n; meant for low-degree
-        cross-checks of :meth:`apply`."""
-        if poly.n != self.n:
-            raise ValueError("variable count mismatch")
-        n = self.n
-        den, items = sympoly._integer_terms(poly.to_exponent_poly().terms)
-        work = laurent.LaurentPoly(n, {tuple(2 * e for e in k): c for k, c in items}, den)
-        work = work.shift_all(1)  # multiply by sqrt(e_n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                work = work.diff(i) - work.diff(j)
-        # the result is antisymmetric, so collecting over the symmetric group
-        # overcounts each alternant by n!
-        classes = laurent.antisym_classes(work)
-        classes = classes.shift_all(2 * n - 3)  # e_n^(n - 3/2)
-        norm = barnes_constant(n) * math.factorial(n)
-        num, den = int(norm.denominator), int(norm.numerator) * classes.den
-        out = {}
-        for ex, c in classes.terms.items():
-            if any(e % 2 for e in ex):
-                raise AssertionError("half-integer exponent survived")
-            if ex[-1] < 0:
-                if assert_polynomial:
-                    raise AssertionError("negative exponent survived")
-                continue
-            out[ptrim(ex[i] // 2 - (n - i - 1) for i in range(n))] = Rat(c * num, den)
-        return SymPoly._make(n, SCHUR, out)
 
 
 def clear_caches():

@@ -117,14 +117,14 @@ def q_coeff(nu, mu, n):
     return _bareiss_det(_q_matrix(nu, mu, n))
 
 
-def _tables(g, n, dtable, a_provider):
+def _tables(g, n, dtable):
     """The table holding P_{r,n} for every r <= top = min(g, r_max(n)),
-    bootstrapping missing blocks through ``a_provider`` (default: the
-    oracle's integer classes); returns (dtable, top)."""
+    bootstrapping missing blocks from the oracle's integer classes; returns
+    (dtable, top)."""
     if dtable is None:
         dtable = DTable()
     top = min(g, r_max(n))
-    dtable.ensure_upto(top, n, a_provider)
+    dtable.ensure_upto(top, n)
     return dtable, top
 
 
@@ -149,7 +149,7 @@ def _lower_ribbons(w):
     return {k: v for k, v in out.items() if v}
 
 
-def tau(g, d, dtable=None, a_provider=None):
+def tau(g, d, dtable=None):
     """Intersection number <tau_{d_1} ... tau_{d_n}>_g by the closed formula.
 
     The Q sums are read off the adjoint ribbon chain of the index's Kostka
@@ -166,8 +166,7 @@ def tau(g, d, dtable=None, a_provider=None):
     dot product with P_{r,n} is an integer sum and one ``Rat`` is built per
     r.  n = 1, 2 delegate to the recursion oracle (the determinantal chain
     behind the coefficient tables starts at three points).  Missing table
-    blocks are bootstrapped on demand through ``a_provider`` (defaults to
-    the oracle's integer classes).
+    blocks are bootstrapped on demand.
     """
     d = tuple(d)
     n = len(d)
@@ -179,7 +178,7 @@ def tau(g, d, dtable=None, a_provider=None):
     if n <= 2:
         return oracle_mod.virasoro_tau(g, d)
     lam = tuple(sorted(d, reverse=True))
-    dtable, top = _tables(g, n, dtable, a_provider)
+    dtable, top = _tables(g, n, dtable)
     views = [dtable.beads(r, n) for r in range(top + 1)]
 
     # phi[L] for every bead a shape of weight |lam| can carry; the
@@ -231,14 +230,14 @@ def _schur_image(g, n, dtable, top):
     return x
 
 
-def a_gn(g, n, basis=MONOMIAL, dtable=None, a_provider=None):
+def a_gn(g, n, basis=MONOMIAL, dtable=None):
     """Generating polynomial A_{g,n} through the coefficient tables:
     24^g A_{g,n} = H^{-1}(X_{g,n}) with X_{g,n} = sum_r 12^r / (g-r)!
     p_3^(g-r) P_{r,n}."""
     oracle_mod.require_stable(g, n)
     if n <= 2:
         return oracle_mod.a_gn_oracle(g, n).change_basis(basis)
-    dtable, top = _tables(g, n, dtable, a_provider)
+    dtable, top = _tables(g, n, dtable)
     x = _schur_image(g, n, dtable, top)
     return HContext(n).apply_inverse(x).scale(Rat(1, 24 ** g)).change_basis(basis)
 
@@ -291,14 +290,14 @@ class Correlator:
         )
 
 
-def w_gn(g, n, dtable=None, a_provider=None):
+def w_gn(g, n, dtable=None):
     """Correlator coefficients straight from the tables: the Kostka numbers
     cancel, leaving c_mu = GammaRatio(mu) X_mu / 12^g with X = X_{g,n} the
     Schur image that also gives :func:`a_gn`."""
     if n < 3:
         raise ValueError("correlator tables start at n = 3")
     oracle_mod.require_stable(g, n)
-    dtable, top = _tables(g, n, dtable, a_provider)
+    dtable, top = _tables(g, n, dtable)
     scale = Rat(1, 12 ** g)
     coeffs = {}
     for mu, x in _schur_image(g, n, dtable, top).terms.items():
@@ -309,7 +308,7 @@ def w_gn(g, n, dtable=None, a_provider=None):
     return Correlator(g, n, coeffs)
 
 
-def wn_det_truncated(n, g_max, dtable=None, a_provider=None):
+def wn_det_truncated(n, g_max, dtable=None):
     """All correlators of genus <= g_max from the determinant of the matrix
 
         F_ij(nu) = sum_k GammaRatio_i(nu, k) / (k! 12^k) h_{L_i(nu)-(n-j)+3k}
@@ -318,7 +317,7 @@ def wn_det_truncated(n, g_max, dtable=None, a_provider=None):
     where contributions stop reaching degree <= 3 g_max - 3 + n."""
     if n < 3:
         raise ValueError("correlator tables start at n = 3")
-    dtable, top = _tables(g_max, n, dtable, a_provider)
+    dtable, top = _tables(g_max, n, dtable)
     acc = SymPoly.zero(n, MONOMIAL)
     for r in range(top + 1):
         block = dtable.get(r, n)

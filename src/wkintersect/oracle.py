@@ -2,10 +2,10 @@
 
 The Dijkgraaf-Verlinde-Verlinde (Virasoro) recursion pins every value
 from the two seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; this module
-evaluates it with aggressive memoization and doubles as the reference
-provider for the generating polynomials.  Closed forms in genus 0 and 1
-and exact truncations of the classical one-, two- and three-point series
-give further independent anchors.
+evaluates it with aggressive memoization and supplies the generating
+polynomials the coefficient tables are built from.  Closed forms in
+genus 0 and 1 and exact truncations of the classical one-, two- and
+three-point series give further independent anchors.
 
 The memo holds integers.  For d sorted in descending order it stores
 
@@ -25,9 +25,8 @@ Three pivots reduce an index:
 DVV holds at any marked point, so only the cost depends on the pivot.
 Once string and dilaton have removed the 0s and 1s it pivots on the
 smallest index, whose split sums are the shortest and whose new points
-are the smallest.  ``PREFER_STRING_PIVOT = False`` is a test switch: it
-turns string and dilaton off, and DVV then pivots on the largest index
-(the smallest may be 0), so the tests compare two different recursions.
+are the smallest.  The tests compare it with an independent recursion
+that always pivots on the largest index.
 
 ``Fraction`` appears only at the edge: ``virasoro_tau`` and
 ``a_gn_oracle`` divide each T by its scale once.  ``integer_class`` hands
@@ -48,12 +47,6 @@ from .sympoly import (
 )
 
 _MEMO = {}
-
-# when True, a last index of 0 or 1 is pivoted first (the recursion then
-# degenerates to the cheap string or dilaton equation) and DVV takes the
-# smallest index; when False, DVV always takes the largest.  Correctness is
-# independent of the pivot and tested as such
-PREFER_STRING_PIVOT = True
 
 
 def clear_memo():
@@ -120,12 +113,12 @@ def _tn(g, d):
         return 1
 
     rest = d[:-1]
-    if d[-1] == 1 and PREFER_STRING_PIVOT:
+    if d[-1] == 1:
         # dilaton equation
         total = 6 * (2 * g - 3 + n) * _tn(g, rest)
         _MEMO[key] = total
         return total
-    if d[-1] == 0 and PREFER_STRING_PIVOT:
+    if d[-1] == 0:
         # string equation: lower the last copy of each non-zero value, so
         # the tuple stays sorted
         total = 0
@@ -139,12 +132,8 @@ def _tn(g, d):
         _MEMO[key] = total
         return total
 
-    if PREFER_STRING_PIVOT:
-        # pivot on the smallest index, at least 2 here
-        piv = d[-1]
-    else:
-        # pivot on the largest index: the smallest may be 0
-        piv, rest = d[0], d[1:]
+    # DVV on the smallest index, at least 2 here
+    piv = d[-1]
     total = 0
 
     # join terms
@@ -154,24 +143,23 @@ def _tn(g, d):
         sub = _sorted(rest[:j] + (piv + v - 1,) + rest[j + 1 :])
         total += 2 * rest.count(v) * (2 * v + 1) * _tn(g, sub)
 
-    if piv >= 2:
-        # one connected surface of genus g-1
-        if g >= 1:
-            for a in range(piv - 1):
-                total += 4 * _tn(g - 1, _sorted(rest + (a, piv - 2 - a)))
-        # splittings into two stable pieces, a + b = piv - 2: the genus of
-        # each side is forced by its degree count, 3 g1 = a + s1 - c1 + 2
-        # with 0 <= g1 <= g, so a runs over one residue class mod 3
-        for s1, c1, i1, i2, ways in _splits(rest):
-            lo = c1 - s1 - 2
-            for a in range(lo if lo >= 0 else lo % 3, min(piv - 2, 3 * g + lo) + 1, 3):
-                g1 = (a - lo) // 3
-                t1 = _tn(g1, _sorted(i1 + (a,)))
-                if not t1:
-                    continue
-                t2 = _tn(g - g1, _sorted(i2 + (piv - 2 - a,)))
-                if t2:
-                    total += ways * t1 * t2
+    # one connected surface of genus g-1
+    if g >= 1:
+        for a in range(piv - 1):
+            total += 4 * _tn(g - 1, _sorted(rest + (a, piv - 2 - a)))
+    # splittings into two stable pieces, a + b = piv - 2: the genus of
+    # each side is forced by its degree count, 3 g1 = a + s1 - c1 + 2
+    # with 0 <= g1 <= g, so a runs over one residue class mod 3
+    for s1, c1, i1, i2, ways in _splits(rest):
+        lo = c1 - s1 - 2
+        for a in range(lo if lo >= 0 else lo % 3, min(piv - 2, 3 * g + lo) + 1, 3):
+            g1 = (a - lo) // 3
+            t1 = _tn(g1, _sorted(i1 + (a,)))
+            if not t1:
+                continue
+            t2 = _tn(g - g1, _sorted(i2 + (piv - 2 - a,)))
+            if t2:
+                total += ways * t1 * t2
 
     _MEMO[key] = total
     return total

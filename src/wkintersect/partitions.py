@@ -1,10 +1,9 @@
 """Integer partitions: dominance order, transpose, hook numbers, symmetry
 factors and constrained enumeration.
 
-Partitions are handled internally as trimmed tuples (weakly decreasing,
-no trailing zeros); the ambient number of rows ``n`` is passed where a
-quantity depends on it.  The :class:`Partition` wrapper carries that
-ambient width explicitly for API use.
+Partitions are trimmed tuples (weakly decreasing, no trailing zeros);
+the ambient number of rows ``n`` is passed where a quantity depends on
+it.
 """
 
 import math
@@ -25,10 +24,6 @@ def ptrim(parts):
     while k and rows[k - 1] == 0:
         k -= 1
     return rows[:k]
-
-
-def weight(lam):
-    return sum(lam)
 
 
 def transpose(lam):
@@ -117,59 +112,3 @@ def parse_partition(text):
     if text == "-" or text == "":
         return ()
     return ptrim(int(tok) for tok in text.split(","))
-
-
-class Partition:
-    """A partition together with its ambient number of rows.
-
-    The ambient width matters for the row-dependent quantities (hook
-    numbers, symmetry factor); the pure shape operations ignore it.
-    """
-
-    __slots__ = ("parts", "n")
-
-    def __init__(self, parts, n=None):
-        self.parts = ptrim(parts)
-        self.n = len(self.parts) if n is None else n
-        if self.n < len(self.parts):
-            raise ValueError("ambient width %d below length of %r" % (self.n, self.parts))
-
-    @property
-    def weight(self):
-        return sum(self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    def padded(self):
-        return self.parts + (0,) * (self.n - len(self.parts))
-
-    def transpose(self):
-        t = transpose(self.parts)
-        return Partition(t, max(len(t), 1))
-
-    def dominates(self, other):
-        return dominates(self.parts, other.parts)
-
-    def hook_numbers(self):
-        return hook_numbers(self.parts, self.n)
-
-    def z_factor(self):
-        return z_factor(self.parts, self.n)
-
-    @classmethod
-    def from_string(cls, text, n=None):
-        return cls(parse_partition(text), n)
-
-    def __str__(self):
-        return format_partition(self.parts)
-
-    def __repr__(self):
-        return "Partition(%r, n=%d)" % (list(self.parts), self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.parts, self.n))

@@ -1,8 +1,8 @@
 """The genus-independent coefficient tables and the two independent ways
 of producing them.
 
-``bootstrap_p`` assembles the degree-(3r-3+n) component of the master
-polynomial from oracle-supplied generating polynomials:
+``bootstrap_all`` assembles the degree-(3r-3+n) components of the master
+polynomial from the oracle's generating polynomials:
 
     P_{r,n} = sum_{g<=r} 2^g (-1)^(r-g) p_3^(r-g) / (12^(r-g) (r-g)!) H(A_{g,n})
 
@@ -43,8 +43,7 @@ coefficients of A_{g,n} up to the scale 2^(4g-2+n), which is what H reads
 (``hop.h_integers``).  H gives y_mu / den_g on the box shapes, the p_3
 ribbon chain runs on those integers, and each P_r sums its images over the
 common denominator of the weights (-1)^k 2^g / (12^k k! den_g), so a
-``Rat`` is built once per emitted coefficient.  A caller's provider enters
-the same route through ``hop.monomial_integers``.
+``Rat`` is built once per emitted coefficient.
 
 ``DTable`` is the persistent store for the Schur coefficients of the
 P_{r,n}; its line-oriented ASCII format is canonical (identical tables
@@ -63,7 +62,7 @@ from .partitions import (
     ptrim,
 )
 from . import laurent
-from .hop import barnes_constant, h_integers, monomial_integers
+from .hop import barnes_constant, h_integers
 from .oracle import integer_class
 from .sympoly import SCHUR, SymPoly, raise_ribbons, runner_counts, shape_of_beads
 
@@ -94,19 +93,10 @@ def box_width(n):
 # ---------------------------------------------------------------------------
 
 
-def bootstrap_p(r, n, a_provider=None):
-    """P_{r,n} in the Schur basis from generating polynomials of genus <= r
-    (see :func:`bootstrap_all`)."""
-    return bootstrap_all(r, n, a_provider)[r]
-
-
-def bootstrap_all(r_top, n, a_provider=None):
-    """All components P_{0,n} .. P_{r_top,n} at once, in integers from the
-    oracle to the table, restricted to the shapes with mu_1 <= 2n - 5 (see
-    the module docstring).
-
-    ``a_provider(g)``, if given, must return the exact A_{g,n} as a SymPoly;
-    by default the oracle's integer class (lam_1 <= 3n - 6) is read."""
+def bootstrap_all(r_top, n):
+    """All components P_{0,n} .. P_{r_top,n} in the Schur basis, in integers
+    from the oracle's classes (lam_1 <= 3n - 6) to the table, restricted to
+    the shapes with mu_1 <= 2n - 5 (see the module docstring)."""
     if n < 3:
         raise ValueError("the bootstrap starts at n = 3")
     if not 0 <= r_top <= r_max(n):
@@ -122,13 +112,7 @@ def bootstrap_all(r_top, n, a_provider=None):
     # per genus: H(A_{g,n}) = y / den on the box shapes, y keyed by beads
     images = []
     for g in range(r_top + 1):
-        if a_provider is None:
-            scale, padded = integer_class(g, n, top)
-        else:
-            a = a_provider(g)
-            if a.n != n:
-                raise ValueError("provider gave A_{%d,n} in %d variables for n = %d" % (g, a.n, n))
-            scale, padded = monomial_integers(a)
+        scale, padded = integer_class(g, n, top)
         lcm, y = h_integers(padded, n, width)
         images.append((scale * lcm, {hook_numbers(mu, n): c for mu, c in y.items()}))
     # p_3^k H(A_{g,n}) enters P_{g+k,n} with (-1)^k 2^g / (12^k k! den_g);
@@ -244,7 +228,7 @@ def direct_p(n, extra_truncation=0, n_limit=5):
 
     # P_n = classes / (den D_n n 2^(n-1)), divided once per coefficient
     norm = barnes_constant(n) * n * (1 << (n - 1))
-    num, den = int(norm.denominator), int(norm.numerator) * classes.den
+    num, den = norm.denominator, norm.numerator * classes.den
     terms = {}
     for ex, c in classes.terms.items():
         if any(e % 2 for e in ex):
@@ -381,24 +365,21 @@ class DTable:
             view = self._beads[(r, n)] = (den, ints, {runner_counts(b) for b in ints})
         return view
 
-    def ensure(self, r, n, a_provider=None):
+    def ensure(self, r, n):
         """Compute and store the (r, n) block if missing; returns it."""
         if not self.has(r, n):
-            self.ensure_upto(r, n, a_provider)
+            self.ensure_upto(r, n)
         return self.blocks[(r, n)]
 
-    def ensure_upto(self, r_top, n, a_provider=None):
+    def ensure_upto(self, r_top, n):
         if all(self.has(r, n) for r in range(r_top + 1)):
             return
-        for r, p in bootstrap_all(r_top, n, a_provider).items():
+        for r, p in bootstrap_all(r_top, n).items():
             if not self.has(r, n):
                 self.put(r, n, p.terms)
 
     def p_rn(self, r, n):
         return SymPoly(n, SCHUR, dict(self.blocks[(r, n)]))
-
-    def support_count(self, r, n):
-        return len(self.blocks[(r, n)])
 
     # -- serialization --------------------------------------------------
 

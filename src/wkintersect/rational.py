@@ -1,24 +1,16 @@
 """Exact rational scalars and the factorial-type helpers built on them.
 
 Every value produced by this library is an exact rational; no floating
-point enters any computation path.  ``Rat`` is gmpy2's ``mpq`` when that
-package is installed (GMP-backed, considerably faster) and the standard
-library ``Fraction`` otherwise.  Both keep values in canonical form
-(coprime, positive denominator) and share the textual format used
-throughout: ``p/q``, plain ``p`` when the denominator is 1, the sign on
-the numerator.
+point enters any computation path.  ``Rat`` is the standard library's
+``Fraction``: the hot paths run on plain ints and build one ``Rat`` per
+emitted coefficient, so the scalar type is not where the time goes.  It
+keeps values in canonical form (coprime, positive denominator) with the
+textual format used throughout: ``p/q``, plain ``p`` when the denominator
+is 1, the sign on the numerator.
 """
 
 import math
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as Rat
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rat = Fraction
-    RAT_BACKEND = "fractions"
+from fractions import Fraction as Rat
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
@@ -26,7 +18,7 @@ RAT_ONE = Rat(1)
 
 def rat_from_str(text):
     """Parse the canonical ``p/q`` / ``p`` form back into a Rat."""
-    return Rat(Fraction(text.strip()))
+    return Rat(text.strip())
 
 
 def factorial(k):

@@ -218,9 +218,6 @@ class ExponentPoly:
         value = Rat(value)
         return cls(n, {(0,) * n: value} if value else {})
 
-    def copy(self):
-        return ExponentPoly(self.n, dict(self.terms))
-
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("variable count mismatch")
@@ -330,8 +327,8 @@ class ExponentPoly:
 
 def _integer_terms(terms):
     """(den, [(key, int)]) with each coefficient equal to int / den."""
-    den = math.lcm(*(int(v.denominator) for v in terms.values()))
-    return den, [(k, int(v.numerator) * (den // int(v.denominator))) for k, v in terms.items()]
+    den = math.lcm(*(v.denominator for v in terms.values()))
+    return den, [(k, v.numerator * (den // v.denominator)) for k, v in terms.items()]
 
 
 def _multiset_code(alpha, n):

@@ -2,23 +2,27 @@
 
 Everything here is deliberately naive: direct tableau enumeration,
 permutation sums, exponent-level polynomial division, rows of K^{-1} by a
-walk over rearrangements.  None of it shares code with the production
-paths, except that the formula-level references at the end (H^{-1} of
-elementary products, the unpruned bootstrap) are assembled from the
-library's whole Kostka columns.
+walk over rearrangements, DVV recursions pivoted on the largest index.
+None of it shares code with the production paths, except that the
+formula-level references at the end (H^{-1} of elementary products, the
+unpruned bootstrap) are assembled from the library's whole Kostka columns,
+and the differential H runs on the library's Laurent polynomials.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+from wkintersect import laurent, sympoly
 from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat
 from wkintersect.partitions import hook_numbers, partition_class, ptrim
-from wkintersect.hop import _dden, _gnum
+from wkintersect.hop import _dden, _gnum, barnes_constant
 from wkintersect.sympoly import (
     ExponentPoly,
     SymPoly,
     MONOMIAL,
+    SCHUR,
     dual_kostka_column,
     kostka_column,
 )
@@ -279,6 +283,92 @@ def _dvv(g, d, memo):
     value = total / _dfact(2 * k + 3)
     memo[(g, d)] = value
     return value
+
+
+def dvv_integer(g, d, memo=None):
+    """T(g, d) = 2^(4g-2+n) prod_i (2 d_i + 1)!! <tau_{d_1} ... tau_{d_n}>_g
+    by the integer DVV recursion, always pivoting on the largest index (no
+    string or dilaton step).  The index subsets of each splitting are
+    counted per multiset, so it is fast enough for whole classes.
+    ``memo`` may be shared between calls; nothing is shared with the
+    library's oracle."""
+    if memo is None:
+        memo = {}
+    return _dvv_int(g, tuple(sorted(d, reverse=True)), memo)
+
+
+def _multiset_splits(rest):
+    """(left, right, ways) for every split of the multiset rest into two,
+    ways counting the index subsets that give it."""
+    out = [((), (), 1)]
+    for v, m in Counter(rest).items():
+        out = [
+            (left + (v,) * t, right + (v,) * (m - t), ways * math.comb(m, t))
+            for left, right, ways in out
+            for t in range(m + 1)
+        ]
+    return out
+
+
+def _dvv_int(g, d, memo):
+    n = len(d)
+    if 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
+        return 0
+    if g == 0 and d == (0, 0, 0):
+        return 2
+    if g == 1 and d == (1,):
+        return 1
+    if (g, d) in memo:
+        return memo[(g, d)]
+
+    def sub(gg, parts):
+        return _dvv_int(gg, tuple(sorted(parts, reverse=True)), memo)
+
+    piv, rest = d[0], d[1:]
+    total = 0
+    for j, v in enumerate(rest):
+        total += 2 * (2 * v + 1) * sub(g, rest[:j] + (v + piv - 1,) + rest[j + 1 :])
+    splits = _multiset_splits(rest)
+    for a in range(piv - 1):
+        b = piv - 2 - a
+        if g:
+            total += 4 * sub(g - 1, rest + (a, b))
+        for left, right, ways in splits:
+            # the degree of the left side fixes its genus
+            g1, r = divmod(a + sum(left) - len(left) + 2, 3)
+            if not r and 0 <= g1 <= g:
+                total += ways * sub(g1, left + (a,)) * sub(g - g1, right + (b,))
+    memo[(g, d)] = total
+    return total
+
+
+def h_raw(poly):
+    """H via its differential realization: antisymmetrized derivatives of
+    sqrt(e_n) times the input, then Vandermonde division, on the integer
+    Laurent polynomials with one ``Rat`` per emitted coefficient.
+    Exponential in n; meant for low-degree cross-checks of
+    ``HContext.apply``."""
+    n = poly.n
+    den, items = sympoly._integer_terms(poly.to_exponent_poly().terms)
+    work = laurent.LaurentPoly(n, {tuple(2 * e for e in k): c for k, c in items}, den)
+    work = work.shift_all(1)  # multiply by sqrt(e_n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            work = work.diff(i) - work.diff(j)
+    # the result is antisymmetric, so collecting over the symmetric group
+    # overcounts each alternant by n!
+    classes = laurent.antisym_classes(work)
+    classes = classes.shift_all(2 * n - 3)  # e_n^(n - 3/2)
+    norm = barnes_constant(n) * math.factorial(n)
+    num, den = norm.denominator, norm.numerator * classes.den
+    out = {}
+    for ex, c in classes.terms.items():
+        if any(e % 2 for e in ex):
+            raise AssertionError("half-integer exponent survived")
+        if ex[-1] < 0:
+            raise AssertionError("negative exponent survived")
+        out[ptrim(ex[i] // 2 - (n - i - 1) for i in range(n))] = Rat(c * num, den)
+    return SymPoly(n, SCHUR, out)
 
 
 _KOSTKA_ROWS = {}

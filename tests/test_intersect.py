@@ -28,10 +28,6 @@ from wkintersect.sympoly import (
 )
 
 
-def provider(n):
-    return lambda g: oracle.a_gn_oracle(g, n)
-
-
 # -- determinants -------------------------------------------------------
 
 
@@ -129,7 +125,7 @@ def _paper_sums(g, n, dtable, mus):
     """{mu: sum_r 12^r sum_nu D_{r,n}(nu) Q_{nu,mu}} with Q the gated
     determinant: the paper's expression, sharing no code with the chains."""
     top = min(g, r_max(n))
-    dtable.ensure_upto(top, n, provider(n))
+    dtable.ensure_upto(top, n)
     out = {}
     for mu in mus:
         total = Rat(0)

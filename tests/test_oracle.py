@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from brute import dvv_fraction
+from brute import dvv_fraction, dvv_integer
 from wkintersect.rational import Rat
 from wkintersect.hop import _dden
 from wkintersect.partitions import partition_class, ptrim
@@ -65,27 +65,6 @@ def test_permutation_symmetry():
         assert oracle.virasoro_tau(g, tuple(full)) == want
 
 
-def test_pivot_independence():
-    # values must not depend on whether zero indices are pivoted first
-    # (string equation) or the largest index is always chosen
-    sweep = []
-    for n in (3, 4):
-        for g in (0, 1, 2):
-            if 2 * g - 2 + n <= 0:
-                continue
-            for lam in partition_class(3 * g - 3 + n, n):
-                sweep.append((g, lam + (0,) * (n - len(lam))))
-    defaults = [oracle.virasoro_tau(g, d) for g, d in sweep]
-    oracle.clear_memo()
-    oracle.PREFER_STRING_PIVOT = False
-    try:
-        forced = [oracle.virasoro_tau(g, d) for g, d in sweep]
-    finally:
-        oracle.PREFER_STRING_PIVOT = True
-        oracle.clear_memo()
-    assert defaults == forced
-
-
 def _indices(n, g_max):
     for g in range(g_max + 1):
         if 2 * g - 2 + n > 0:
@@ -99,19 +78,15 @@ def _sweep():
 
 
 def test_pivot_independence_on_whole_classes():
-    # the smallest-index DVV pivot (the default, after string and dilaton)
-    # against the largest-index one on every index of n = 5, g <= 8
+    # the oracle's smallest-index DVV pivot (after string and dilaton)
+    # against an integer DVV recursion on the largest index, on every index
+    # of n = 5, g <= 8
     sweep = list(_indices(5, 8))
     assert len(sweep) == 1163
     oracle.clear_memo()
     smallest = [oracle._tn(g, d) for g, d in sweep]
-    oracle.clear_memo()
-    oracle.PREFER_STRING_PIVOT = False
-    try:
-        largest = [oracle._tn(g, d) for g, d in sweep]
-    finally:
-        oracle.PREFER_STRING_PIVOT = True
-        oracle.clear_memo()
+    memo = {}
+    largest = [dvv_integer(g, d, memo) for g, d in sweep]
     assert smallest == largest
     assert all(smallest)
 
@@ -123,32 +98,25 @@ def test_matches_fraction_dvv():
         assert oracle.virasoro_tau(g, d) == dvv_fraction(g, d, memo), (g, d)
 
 
-@pytest.fixture
-def pure_dvv():
-    """The oracle without its string and dilaton shortcuts."""
-    oracle.clear_memo()
-    oracle.PREFER_STRING_PIVOT = False
-    yield
-    oracle.PREFER_STRING_PIVOT = True
-    oracle.clear_memo()
-
-
-def test_string_equation(pure_dvv):
+def test_string_equation():
+    # on the DVV recursion without string or dilaton shortcuts
+    memo = {}
     for n in range(1, 5):
         for g, d in _indices(n, 4):
             want = sum(
-                oracle.virasoro_tau(g, d[:j] + (v - 1,) + d[j + 1 :])
+                dvv_fraction(g, d[:j] + (v - 1,) + d[j + 1 :], memo)
                 for j, v in enumerate(d)
                 if v
             )
-            assert oracle.virasoro_tau(g, d + (0,)) == want, (g, d)
+            assert dvv_fraction(g, d + (0,), memo) == want, (g, d)
 
 
-def test_dilaton_equation(pure_dvv):
+def test_dilaton_equation():
+    memo = {}
     for n in range(1, 5):
         for g, d in _indices(n, 4):
-            want = (2 * g - 2 + n) * oracle.virasoro_tau(g, d)
-            assert oracle.virasoro_tau(g, d + (1,)) == want, (g, d)
+            want = (2 * g - 2 + n) * dvv_fraction(g, d, memo)
+            assert dvv_fraction(g, d + (1,), memo) == want, (g, d)
 
 
 def test_integer_core():

@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from wkintersect.partitions import (
-    Partition,
     dominates,
     enumerate_partitions,
     format_partition,
@@ -129,17 +128,3 @@ def test_ptrim_validation():
         ptrim((1, 2))
     with pytest.raises(ValueError):
         ptrim((1, -1))
-
-
-def test_partition_wrapper():
-    p = Partition((3, 1), n=4)
-    assert p.weight == 4
-    assert p.length == 2
-    assert p.padded() == (3, 1, 0, 0)
-    assert p.hook_numbers() == (6, 3, 1, 0)
-    assert str(p) == "3,1"
-    assert Partition.from_string("3,1", n=4) == p
-    assert p.transpose().parts == (2, 1, 1)
-    assert p.dominates(Partition((2, 2), n=4))
-    with pytest.raises(ValueError):
-        Partition((3, 1), n=1)

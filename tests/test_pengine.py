@@ -7,7 +7,7 @@ import pytest
 from brute import bootstrap_unpruned
 from golden_tables import TABLE_E6, TABLE_SCHUR
 from wkintersect.rational import Rat, rat_from_str
-from wkintersect import hop, intersect, oracle
+from wkintersect import hop, intersect, oracle, pengine
 from wkintersect.hop import HContext
 from wkintersect.partitions import partition_class
 from wkintersect.pengine import (
@@ -15,17 +15,12 @@ from wkintersect.pengine import (
     DTable,
     bootstrap_all,
     box_width,
-    bootstrap_p,
     degree_rn,
     direct_p,
     r_max,
     trace_shift_invariance,
 )
 from wkintersect.sympoly import ELEMENTARY, SCHUR, SymPoly, power_sum_times_schur
-
-
-def provider(n):
-    return lambda g: oracle.a_gn_oracle(g, n)
 
 
 def as_terms(golden):
@@ -35,23 +30,23 @@ def as_terms(golden):
 def test_r_bounds():
     assert r_max(3) == 1 and r_max(4) == 3 and r_max(5) == 6 and r_max(6) == 10
     with pytest.raises(ValueError):
-        bootstrap_p(2, 3, provider(3))
+        bootstrap_all(2, 3)
     with pytest.raises(ValueError):
-        bootstrap_p(-1, 4, provider(4))
+        bootstrap_all(-1, 4)
 
 
 def test_bootstrap_matches_schur_table_n3_n4(dtable):
     for (r, n), golden in TABLE_SCHUR.items():
         if n > 4:
             continue
-        dtable.ensure(r, n, provider(n))
+        dtable.ensure(r, n)
         assert dtable.get(r, n) == as_terms(golden), (r, n)
 
 
 def test_bootstrap_all_consistent():
-    every = bootstrap_all(3, 4, provider(4))
+    every = bootstrap_all(3, 4)
     for r in range(4):
-        assert every[r] == bootstrap_p(r, 4, provider(4))
+        assert every[r] == bootstrap_all(r, 4)[r]
 
 
 def _first_row(mu):
@@ -81,19 +76,12 @@ def test_box_bound_direct_route_n5():
     assert max(map(_first_row, direct_p(5).terms)) == box_width(5)
 
 
-def test_bootstrap_n7_matches_unpruned_bootstrap():
-    # box-restricted H images and ribbons against whole K^{-1} rows and
-    # unpruned ribbons, beyond the golden tables
-    every = bootstrap_all(6, 7, provider(7))
-    want = bootstrap_unpruned(6, 7, provider(7))
-    assert {r: p.terms for r, p in every.items()} == want
-
-
 def test_default_bootstrap_n7_matches_unpruned_bootstrap():
-    # the oracle's capped integer class, the path `wk dtable` runs, against
-    # the unpruned bootstrap of the full A_{g,7}
+    # the oracle's capped integer class, box-restricted H images and
+    # ribbons, the path `wk dtable` runs, against whole K^{-1} rows and
+    # unpruned ribbons of the full A_{g,7}, beyond the golden tables
     every = bootstrap_all(6, 7)
-    want = bootstrap_unpruned(6, 7, provider(7))
+    want = bootstrap_unpruned(6, 7, lambda g: oracle.a_gn_oracle(g, 7))
     assert {r: p.terms for r, p in every.items()} == want
 
 
@@ -139,35 +127,23 @@ def test_put_drops_the_bead_view():
     assert second == intersect.tau(g, d, fresh)
 
 
-def test_provider_enters_the_integer_bootstrap_linearly():
-    # a caller's SymPoly, in any basis, goes through the same integer kernel
-    # as the oracle's default integer class
-    for n in (4, 5):
-        every = bootstrap_all(r_max(n), n)
-        tripled = bootstrap_all(
-            r_max(n), n, lambda g: oracle.a_gn_oracle(g, n).change_basis(SCHUR).scale(3)
-        )
-        assert tripled == {r: p.scale(3) for r, p in every.items()}
-    with pytest.raises(ValueError, match="in 5 variables for n = 4"):
-        bootstrap_all(1, 4, lambda g: oracle.a_gn_oracle(g, 5))
-
-
 def test_bootstrap_refuses_fewer_than_three_points():
     for n in (1, 2):
         with pytest.raises(ValueError):
-            bootstrap_all(0, n, provider(n))
+            bootstrap_all(0, n)
 
 
-def test_admission_budget():
+def test_admission_budget(monkeypatch):
     # every table up to n = 7 fits; an n = 1500 genus-0 table fails fast,
-    # before its generating polynomial is asked for
+    # before the oracle is asked for its generating polynomial
     assert len(partition_class(degree_rn(15, 7), 7)) < MAX_CLASS_SIZE
 
-    def refuse(g):
-        raise AssertionError("provider called")
+    def refuse(g, n, cap):
+        raise AssertionError("oracle called")
 
+    monkeypatch.setattr(pengine, "integer_class", refuse)
     with pytest.raises(ValueError):
-        bootstrap_all(0, 1500, refuse)
+        bootstrap_all(0, 1500)
     t0 = time.perf_counter()
     with pytest.raises(ValueError):
         intersect.tau(0, (1497,) + (0,) * 1499)
@@ -196,7 +172,7 @@ def test_genus_independence_overdetermined(dtable):
     import math
 
     n = 4
-    dtable.ensure_upto(r_max(n), n, provider(n))
+    dtable.ensure_upto(r_max(n), n)
     hop = HContext(n)
     for g_extra in (4, 5):
         lhs = hop.apply(oracle.a_gn_oracle(g_extra, n)).scale(Rat(24) ** g_extra)
@@ -212,8 +188,8 @@ def test_genus_independence_overdetermined(dtable):
 def test_divisibility_by_top_elementary(dtable):
     # P_{r,n} - e_1 P_{r,n-1} is a multiple of e_n
     for n in (4, 5):
-        dtable.ensure_upto(r_max(n), n, provider(n))
-        dtable.ensure_upto(r_max(n - 1), n - 1, provider(n - 1))
+        dtable.ensure_upto(r_max(n), n)
+        dtable.ensure_upto(r_max(n - 1), n - 1)
         for r in range(r_max(n - 1) + 1):
             big = dtable.p_rn(r, n).change_basis(ELEMENTARY)
             small = dtable.p_rn(r, n - 1).change_basis(ELEMENTARY)
@@ -229,8 +205,8 @@ def test_elementary_coefficients_stable_in_n(dtable):
     # the coefficient of e_nu e_1^(d-|nu|) in P_{r,n} does not depend on n
     # wherever the index fits at both widths
     for n in (3, 4):
-        dtable.ensure_upto(r_max(n), n, provider(n))
-        dtable.ensure_upto(r_max(n + 1), n + 1, provider(n + 1))
+        dtable.ensure_upto(r_max(n), n)
+        dtable.ensure_upto(r_max(n + 1), n + 1)
         for r in range(r_max(n) + 1):
             small = dtable.p_rn(r, n).change_basis(ELEMENTARY)
             big = dtable.p_rn(r, n + 1).change_basis(ELEMENTARY)
@@ -245,8 +221,8 @@ def test_elementary_coefficients_stable_in_n(dtable):
 
 
 def test_dtable_round_trip(tmp_path, dtable):
-    dtable.ensure_upto(1, 3, provider(3))
-    dtable.ensure_upto(3, 4, provider(4))
+    dtable.ensure_upto(1, 3)
+    dtable.ensure_upto(3, 4)
     path = tmp_path / "dtable.txt"
     dtable.save(path)
     data1 = path.read_bytes()
