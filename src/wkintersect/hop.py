@@ -18,7 +18,9 @@ forward direction it is an integer map (``h_integers``): the input is
 gives z_mu = [s_mu] of it, and z_mu L / gnum(mu), with L the lcm of the
 gnum read, is H(A) over the single denominator L times that scale.  The
 recursion oracle's integers T(g, lam) already have that form, and
-``HContext.apply`` puts any SymPoly into it.  The differential realization
+``HContext.apply`` puts any SymPoly into it.  gnum and dden are
+recomputed for each shape a call reads; this module keeps nothing between
+calls.  The differential realization
 (Vandermonde of derivatives acting on sqrt(e_n) times the input) is a test
 oracle and lives with the tests.
 """
@@ -30,28 +32,21 @@ from .partitions import ptrim
 from . import sympoly
 from .sympoly import MONOMIAL, SCHUR, SymPoly
 
-_GNUM = {}   # mu -> prod_i prod_{j<=mu_i} (2(j-i)+3), an integer
-_DDEN = {}   # lam -> prod_i (2 lam_i + 1)!!
-
 
 def _gnum(mu):
-    v = _GNUM.get(mu)
-    if v is None:
-        v = 1
-        for i, row in enumerate(mu, start=1):
-            for j in range(1, row + 1):
-                v *= 2 * (j - i) + 3
-        _GNUM[mu] = v
+    """prod_i prod_{j<=mu_i} (2(j-i)+3), an integer."""
+    v = 1
+    for i, row in enumerate(mu, start=1):
+        for j in range(1, row + 1):
+            v *= 2 * (j - i) + 3
     return v
 
 
 def _dden(lam):
-    v = _DDEN.get(lam)
-    if v is None:
-        v = 1
-        for row in lam:
-            v *= double_factorial_odd_int(2 * row + 1)
-        _DDEN[lam] = v
+    """prod_i (2 lam_i + 1)!!."""
+    v = 1
+    for row in lam:
+        v *= double_factorial_odd_int(2 * row + 1)
     return v
 
 
@@ -81,8 +76,9 @@ def h_integers(padded, n, width=None):
     the lcm of gnum over the shapes read.  With ``width`` only the shapes
     with mu_1 <= width are read."""
     z = sympoly.schur_integers(padded, n, width)
-    lcm = math.lcm(*map(_gnum, z))
-    return lcm, {mu: c * (lcm // _gnum(mu)) for mu, c in z.items()}
+    gnum = {mu: _gnum(mu) for mu in z}
+    lcm = math.lcm(*gnum.values())
+    return lcm, {mu: c * (lcm // gnum[mu]) for mu, c in z.items()}
 
 
 class HContext:
@@ -115,12 +111,3 @@ class HContext:
         z = SymPoly._make(self.n, SCHUR, {mu: c * _gnum(mu) for mu, c in y.items()})
         b = z.change_basis(MONOMIAL).terms
         return SymPoly._make(self.n, MONOMIAL, {lam: v / _dden(lam) for lam, v in b.items()})
-
-
-def clear_caches():
-    """Drop every memo the closed formula fills: the integer halves of N
-    and all of :mod:`sympoly`'s Kostka and partition-class data (used by
-    benchmarks and tests)."""
-    _GNUM.clear()
-    _DDEN.clear()
-    sympoly.clear_caches()

@@ -27,8 +27,11 @@ Kostka columns themselves are grown by horizontal strips on beta
 numbers and keyed by them; they serve the questions that really are
 Kostka columns, above all the formula's ``tau``.
 
-All class-level caches are populated once per key and then only read,
-so concurrent readers are safe under the usual single-writer rule.
+No column, Kostka or dual, is kept between calls: each question builds
+the columns it reads and drops them, so a sweep over many indices holds
+no more than one index needs.  The one memo left here is the partition
+classes of :func:`partition_class` (an ``lru_cache`` with one entry per
+(degree, row count) asked), filled once per key and then only read.
 """
 
 import math
@@ -55,10 +58,6 @@ BASES = (MONOMIAL, ELEMENTARY, SCHUR)
 # ---------------------------------------------------------------------------
 # Kostka machinery
 # ---------------------------------------------------------------------------
-
-_KOSTKA_COLUMNS = {}       # (content, nrows) -> {beta: int}
-_DUAL_COLUMNS = {}         # (content, nrows) -> {shape: K_{shape^T, content}}
-
 
 def _vstrip_additions(shape, k, nrows):
     """Shapes obtained from ``shape`` by adding a vertical k-strip."""
@@ -130,35 +129,27 @@ def kostka_column(content, nrows):
     [beta_i, beta_{i-1} - 1] and bead 0 takes what is left of k
     (Macdonald I.5).  K does not depend on the order of the parts; the
     smallest go first, which keeps the columns before the last strip
-    small."""
-    key = (content, nrows)
-    col = _KOSTKA_COLUMNS.get(key)
-    if col is None:
-        if nrows == 1:
-            col = {(sum(content),): 1}   # one row takes any content one way
-        else:
-            col = {tuple(range(nrows - 1, -1, -1)): 1}
-            for part in sorted(content):
-                if part:
-                    col = _add_hstrip(col, part)
-        _KOSTKA_COLUMNS[key] = col
+    small.  Each call grows a fresh column, which the caller owns."""
+    if nrows == 1:
+        return {(sum(content),): 1}   # one row takes any content one way
+    col = {tuple(range(nrows - 1, -1, -1)): 1}
+    for part in sorted(content):
+        if part:
+            col = _add_hstrip(col, part)
     return col
 
 
 def dual_kostka_column(content, nrows):
     """{mu: K_{mu^T, content}} over shapes mu with at most nrows rows,
-    grown by vertical strips (one per part of the content)."""
-    key = (content, nrows)
-    col = _DUAL_COLUMNS.get(key)
-    if col is None:
-        cur = {(): 1}
-        for part in content:
-            nxt = {}
-            for shape, c in cur.items():
-                for t in _vstrip_additions(shape, part, nrows):
-                    nxt[t] = nxt.get(t, 0) + c
-            cur = nxt
-        col = _DUAL_COLUMNS[key] = cur
+    grown by vertical strips (one per part of the content), fresh on each
+    call."""
+    col = {(): 1}
+    for part in content:
+        nxt = {}
+        for shape, c in col.items():
+            for t in _vstrip_additions(shape, part, nrows):
+                nxt[t] = nxt.get(t, 0) + c
+        col = nxt
     return col
 
 
@@ -189,9 +180,8 @@ def inverse_kostka(lam, mu):
 
 
 def clear_caches():
-    """Drop all memoized Kostka/class data (used by benchmarks and tests)."""
-    _KOSTKA_COLUMNS.clear()
-    _DUAL_COLUMNS.clear()
+    """Drop the memoized partition classes, the only data this module's
+    base changes keep between calls (used by benchmarks and tests)."""
     partition_class.cache_clear()
 
 
@@ -353,30 +343,53 @@ def _alternant_coefficient(coded, mu, n):
     upward, each taking an unused entry v of delta with v <= beta_i, so a
     negative exponent is cut as soon as it would arise; the sign counts
     the inversions of the assignment.  The code of alpha = beta - w(delta)
-    grows with each position, and the last two positions close in one
-    step: with lo < hi the two values left, (beta_1 - lo, beta_0 - hi)
-    enters with the sign so far and (beta_1 - hi, beta_0 - lo), when
-    hi <= beta_1, with the opposite one (beta_0 >= n - 1 >= hi), so no
-    leaf sorts anything."""
+    grows with each position, and the last three positions close in one
+    unrolled step: with a < b < c the three values left, each of the six
+    assignments to positions (2, 1, 0) enters when its values fit under
+    beta_2 and beta_1 (beta_0 >= n - 1 takes any), signed by the
+    permutation times the parity of the used values above a, b and c, so
+    no leaf sorts anything."""
     beta = [(mu[i] if i < len(mu) else 0) + n - 1 - i for i in range(n)]
-    b0, b1 = beta[0], beta[1] if n > 1 else 0
+    b0 = beta[0]
     pw = [_multiset_code((a,), n) for a in range(b0 + 1)]
-    full = (1 << n) - 1
     get = coded.get
+    if n == 1:
+        return get(pw[b0], 0)
+    b1 = beta[1]
+    if n == 2:
+        c = get(pw[b1] + pw[b0 - 1], 0)
+        return c - get(pw[b1 - 1] + pw[b0], 0) if b1 else c
+    b2 = beta[2]
+    full = (1 << n) - 1
     total = 0
 
     def close(used, inv, code):
         nonlocal total
         free = full ^ used
-        hi = free.bit_length() - 1
-        lo = (free & -free).bit_length() - 1
-        if lo > b1:
+        a = (free & -free).bit_length() - 1
+        if a > b2:
             return
-        c = get(code + pw[b1 - lo] + pw[b0 - hi], 0)
-        if hi <= b1:
-            c -= get(code + pw[b1 - hi] + pw[b0 - lo], 0)
-        if c:
-            total += -c if (inv + (used >> lo).bit_count() + (used >> hi).bit_count()) & 1 else c
+        rest = free & (free - 1)
+        b = (rest & -rest).bit_length() - 1
+        c = free.bit_length() - 1
+        s = 0
+        if b <= b1:
+            head = code + pw[b2 - a]
+            s = get(head + pw[b1 - b] + pw[b0 - c], 0)
+            if c <= b1:
+                s -= get(head + pw[b1 - c] + pw[b0 - b], 0)
+            if b <= b2:
+                head = code + pw[b2 - b]
+                s -= get(head + pw[b1 - a] + pw[b0 - c], 0)
+                if c <= b1:
+                    s += get(head + pw[b1 - c] + pw[b0 - a], 0)
+                if c <= b2:
+                    head = code + pw[b2 - c]
+                    s += get(head + pw[b1 - a] + pw[b0 - b], 0)
+                    s -= get(head + pw[b1 - b] + pw[b0 - a], 0)
+        if s:
+            inv += (used >> a).bit_count() + (used >> b).bit_count() + (used >> c).bit_count()
+            total += -s if inv & 1 else s
 
     def fill(i, used, inv, code):
         b = beta[i]
@@ -385,14 +398,12 @@ def _alternant_coefficient(coded, mu, n):
             if used & bit:
                 continue
             k = inv + (used >> v).bit_count()
-            if i > 2:
+            if i > 3:
                 fill(i - 1, used | bit, k, code + pw[b - v])
             else:
                 close(used | bit, k, code + pw[b - v])
 
-    if n == 1:
-        return get(pw[b0], 0)
-    if n == 2:
+    if n == 3:
         close(0, 0, 0)
     else:
         fill(n - 1, 0, 0, 0)

@@ -95,6 +95,39 @@ def test_verify_reports_its_coverage_per_n(tmp_path):
     ]
 
 
+# Runs ``wk`` in a child of a small interpreter and prints the child's exit
+# code, last output line and ru_maxrss.  The extra level matters: a process
+# started straight from the test runner inherits the runner's resident-set
+# high-water mark through vfork and exec, so its own ru_maxrss would read
+# the runner's size.
+_PEAK_RSS = """
+import resource, subprocess, sys
+res = subprocess.run([sys.executable, "-m", "wkintersect.cli"] + sys.argv[1:],
+                     capture_output=True, text=True)
+print(res.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(res.stdout.splitlines()[-1])
+"""
+
+
+@pytest.mark.extended
+def test_verify_peak_memory_does_not_grow_with_the_genus(tmp_path):
+    # one process per box: the formula keeps nothing per index, so eight
+    # more genera (several thousand more indices) cost little more memory
+    # than the small box
+    peak = {}
+    for g_max in (2, 10):
+        res = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "--cache-dir", str(tmp_path / str(g_max)),
+             "verify", "--g-max", str(g_max), "--n-max", "5"],
+            capture_output=True,
+            text=True,
+        )
+        first, last = res.stdout.splitlines()
+        code, peak[g_max] = map(int, first.split())
+        assert code == 0 and last.endswith(" 0 mismatches"), res.stdout
+    assert peak[10] < 1.5 * peak[2], peak
+
+
 def test_verify_detects_poisoned_cache(tmp_path):
     run_cli(["dtable", "-n", "3", "--r-max", "1"], tmp_path)
     path = tmp_path / "dtable.txt"

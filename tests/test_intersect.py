@@ -1,5 +1,8 @@
+import gc
 import math
+import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +20,7 @@ from wkintersect.intersect import (
     _bareiss_det,
 )
 from wkintersect.partitions import dominates, partition_class
-from wkintersect.pengine import degree_rn, r_max
+from wkintersect.pengine import DTable, degree_rn, r_max
 from wkintersect.sympoly import (
     ELEMENTARY,
     MONOMIAL,
@@ -26,6 +29,9 @@ from wkintersect.sympoly import (
     kostka_column,
     shape_of_beads,
 )
+
+
+BENCH_TABLE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "dtable_n3-6.txt")
 
 
 # -- determinants -------------------------------------------------------
@@ -180,26 +186,51 @@ def test_extreme_indices_follow_the_string_equation(dtable):
 
 
 def test_clear_caches_empties_every_formula_memo(dtable):
+    # the formula path keeps nothing between calls: after one call of each
+    # kind neither module holds a module-level container, and the only
+    # memo left, the partition classes, is emptied by clear_caches
     tau(3, (3, 2, 2, 2, 2), dtable)
     a_gn(2, 5, ELEMENTARY, dtable)
-    memos = {
-        "hop._GNUM": hop._GNUM,
-        "hop._DDEN": hop._DDEN,
-        "sympoly._KOSTKA_COLUMNS": sympoly._KOSTKA_COLUMNS,
-        "sympoly._DUAL_COLUMNS": sympoly._DUAL_COLUMNS,
-    }
-    # the list above names every module-level dict of both modules
+    w_gn(2, 4, dtable)
+    a_gn(1, 4, MONOMIAL, dtable).change_basis(ELEMENTARY).change_basis(SCHUR)
     found = {
         "%s.%s" % (mod.__name__.rsplit(".", 1)[1], name)
         for mod in (hop, sympoly)
         for name, value in vars(mod).items()
-        if isinstance(value, dict) and not name.startswith("__")
+        if isinstance(value, (dict, list, set)) and not name.startswith("__")
     }
-    assert found == set(memos)
-    assert all(memos.values())
-    hop.clear_caches()
-    assert not any(memos.values())
+    assert found == set()
+    assert partition_class.cache_info().currsize
+    sympoly.clear_caches()
     assert partition_class.cache_info().currsize == 0
+
+
+def test_tau_sweep_retains_no_memory():
+    # a sweep over a box of indices keeps no more than one index needs;
+    # the bead views of the table blocks are warmed first (they are the
+    # table's, bounded by it)
+    table = DTable.load(BENCH_TABLE)
+    box = {3: 5, 4: 4, 5: 3}
+    indices = [
+        (g, lam + (0,) * (n - len(lam)))
+        for n, g_max in box.items()
+        for g in range(g_max + 1)
+        for lam in partition_class(degree_rn(g, n), n)
+    ]
+    tracemalloc.start()
+    try:
+        for n, g_max in box.items():
+            tau(g_max, (degree_rn(g_max, n),) + (0,) * (n - 1), table)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for g, d in indices:
+            tau(g, d, table)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(indices) == 212
+    assert held < 64 * 1024, held
 
 
 # -- generating polynomials ----------------------------------------------

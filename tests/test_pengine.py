@@ -7,7 +7,7 @@ import pytest
 from brute import bootstrap_unpruned
 from golden_tables import TABLE_E6, TABLE_SCHUR
 from wkintersect.rational import Rat, rat_from_str
-from wkintersect import hop, intersect, oracle, pengine
+from wkintersect import intersect, oracle, pengine
 from wkintersect.hop import HContext
 from wkintersect.partitions import partition_class
 from wkintersect.pengine import (
@@ -93,14 +93,12 @@ def test_n7_table_certified_against_the_oracle():
     # A fresh full n = 7 build writes the committed table byte for byte, and
     # a_gn(g, 7) read from it equals the oracle's for every g <= r_max(7).
     # H is invertible, so that fixes every P_{r,7} by induction on r.
-    hop.clear_caches()
     oracle.clear_memo()
     table = DTable()
     table.ensure_upto(r_max(7), 7)
     with open(N7_TABLE, encoding="ascii") as fh:
         assert table.dumps() == fh.read()
     for g in range(r_max(7) + 1):
-        hop.clear_caches()
         assert intersect.a_gn(g, 7, dtable=table) == oracle.a_gn_oracle(g, 7), g
 
 
