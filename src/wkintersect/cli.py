@@ -214,14 +214,14 @@ def cmd_elo(args, out):
 
 def cmd_bench(args, out):
     """Wall-clock scaling of the closed formula (warm coefficient tables)
-    against the recursion, medians of three runs each."""
+    against the recursion, medians of three runs each; with --json one
+    object {n, g_max, setup_seconds, rows: [{g, t_formula, t_oracle}]}."""
     n = args.n
     table = load_table(args)
     t0 = time.perf_counter()
     table.ensure_upto(min(args.g_max, r_max(n)), n)
     setup = time.perf_counter() - t0
-    out.write("# bench n=%d g_max=%d setup_seconds=%.6f\n" % (n, args.g_max, setup))
-    out.write("g\tt_formula\tt_oracle\n")
+    rows = []
     for g in range(1, args.g_max + 1):
         d = (degree_rn(g, n),) + (0,) * (n - 1)
         times_f = []
@@ -237,9 +237,17 @@ def cmd_bench(args, out):
             if vf != vo:
                 out.write("MISMATCH g=%d formula=%s oracle=%s\n" % (g, vf, vo))
                 return EXIT_MISMATCH
-        out.write(
-            "%d\t%.6f\t%.6f\n" % (g, sorted(times_f)[1], sorted(times_o)[1])
-        )
+        rows.append({"g": g, "t_formula": sorted(times_f)[1], "t_oracle": sorted(times_o)[1]})
+    if args.json:
+        import json  # only here, so that importing the CLI stays cheap
+
+        report = {"n": n, "g_max": args.g_max, "setup_seconds": setup, "rows": rows}
+        out.write(json.dumps(report) + "\n")
+        return EXIT_OK
+    out.write("# bench n=%d g_max=%d setup_seconds=%.6f\n" % (n, args.g_max, setup))
+    out.write("g\tt_formula\tt_oracle\n")
+    for row in rows:
+        out.write("%d\t%.6f\t%.6f\n" % (row["g"], row["t_formula"], row["t_oracle"]))
     return EXIT_OK
 
 
@@ -292,6 +300,7 @@ def build_parser():
     p = sub.add_parser("bench", help="formula vs oracle timing table")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--g-max", type=int, default=6)
+    p.add_argument("--json", action="store_true", help="print one JSON object instead of the table")
     p.set_defaults(func=cmd_bench)
 
     return top

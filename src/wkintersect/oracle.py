@@ -22,6 +22,16 @@ Three pivots reduce an index:
   + 4 sum_{a+b=k-1} T(g-1, S u {a,b})
   + sum_{a+b=k-1} sum_{I u J = S} T(g1, I u {a}) T(g2, J u {b}).
 
+An index is held as its positive parts, sorted in descending order, and
+a count z of zeros: the memo key is the flat tuple (g, z) + parts.  A
+string step lowers the last copy of each distinct part (lowering a 1
+leaves z as it is: the new zero takes the place of the one the step
+removed), so it costs O(len(parts)) however
+many zeros there are, and each frame holds a key of that length.  The
+depth is unchanged: one frame per string step, so the genus-0 index
+(n - 3, 0, ..., 0) still nests n - 3 frames deep and meets Python's
+recursion limit near n = 1000.
+
 DVV holds at any marked point, so only the cost depends on the pivot.
 Once string and dilaton have removed the 0s and 1s it pivots on the
 smallest index, whose split sums are the shortest and whose new points
@@ -98,42 +108,50 @@ def _sorted(t):
     return tuple(sorted(t, reverse=True))
 
 
-def _tn(g, d):
-    """Memoized integer core T(g, d); d is a sorted-descending tuple."""
-    key = (g, d)
+def _t(g, z, parts):
+    """Memoized integer core T(g, parts + (0,) * z); parts is a sorted-
+    descending tuple of positive indices and z the number of zeros."""
+    key = (g, z) + parts
     val = _MEMO.get(key)
     if val is not None:
         return val
-    n = len(d)
-    if 2 * g - 2 + n <= 0 or sum(d) != dim_target(g, n):
+    n = z + len(parts)
+    if 2 * g - 2 + n <= 0 or sum(parts) != dim_target(g, n):
         return 0
-    if g == 0 and d == (0, 0, 0):
+    if g == 0 and z == 3 and not parts:
         return 2
-    if g == 1 and d == (1,):
+    if g == 1 and z == 0 and parts == (1,):
         return 1
 
-    rest = d[:-1]
-    if d[-1] == 1:
-        # dilaton equation
-        total = 6 * (2 * g - 3 + n) * _tn(g, rest)
-        _MEMO[key] = total
-        return total
-    if d[-1] == 0:
-        # string equation: lower the last copy of each non-zero value, so
-        # the tuple stays sorted
+    if z:
+        # string equation: lower the last copy of each value, so the parts
+        # stay sorted; a 1 lowered to 0 replaces the zero the step removed
         total = 0
-        for j, v in enumerate(rest):
-            if v == 0:
-                break
-            if j + 1 < len(rest) and rest[j + 1] == v:
+        first = 0
+        last = len(parts) - 1
+        for j, v in enumerate(parts):
+            if j < last and parts[j + 1] == v:
                 continue
-            total += rest.count(v) * (2 * v + 1) * _tn(g, rest[:j] + (v - 1,) + rest[j + 1 :])
+            m = j + 1 - first
+            first = j + 1
+            if v > 1:
+                total += m * (2 * v + 1) * _t(g, z - 1, parts[:j] + (v - 1,) + parts[j + 1 :])
+            else:
+                total += m * 3 * _t(g, z, parts[:j])
         total *= 2
         _MEMO[key] = total
         return total
 
-    # DVV on the smallest index, at least 2 here
-    piv = d[-1]
+    rest = parts[:-1]
+    if parts[-1] == 1:
+        # dilaton equation
+        total = 6 * (2 * g - 3 + n) * _t(g, 0, rest)
+        _MEMO[key] = total
+        return total
+
+    # DVV on the smallest index, at least 2 here; the new points a and
+    # piv - 2 - a may be 0 and then join the zero count
+    piv = parts[-1]
     total = 0
 
     # join terms
@@ -141,12 +159,13 @@ def _tn(g, d):
         if j + 1 < len(rest) and rest[j + 1] == v:
             continue
         sub = _sorted(rest[:j] + (piv + v - 1,) + rest[j + 1 :])
-        total += 2 * rest.count(v) * (2 * v + 1) * _tn(g, sub)
+        total += 2 * rest.count(v) * (2 * v + 1) * _t(g, 0, sub)
 
     # one connected surface of genus g-1
     if g >= 1:
         for a in range(piv - 1):
-            total += 4 * _tn(g - 1, _sorted(rest + (a, piv - 2 - a)))
+            new = tuple(x for x in (a, piv - 2 - a) if x)
+            total += 4 * _t(g - 1, 2 - len(new), _sorted(rest + new))
     # splittings into two stable pieces, a + b = piv - 2: the genus of
     # each side is forced by its degree count, 3 g1 = a + s1 - c1 + 2
     # with 0 <= g1 <= g, so a runs over one residue class mod 3
@@ -154,15 +173,22 @@ def _tn(g, d):
         lo = c1 - s1 - 2
         for a in range(lo if lo >= 0 else lo % 3, min(piv - 2, 3 * g + lo) + 1, 3):
             g1 = (a - lo) // 3
-            t1 = _tn(g1, _sorted(i1 + (a,)))
+            t1 = _t(g1, 0, _sorted(i1 + (a,))) if a else _t(g1, 1, i1)
             if not t1:
                 continue
-            t2 = _tn(g - g1, _sorted(i2 + (piv - 2 - a,)))
+            b = piv - 2 - a
+            t2 = _t(g - g1, 0, _sorted(i2 + (b,))) if b else _t(g - g1, 1, i2)
             if t2:
                 total += ways * t1 * t2
 
     _MEMO[key] = total
     return total
+
+
+def _tn(g, d):
+    """T(g, d) for a sorted-descending tuple d, zeros included."""
+    z = d.count(0)
+    return _t(g, z, d[: len(d) - z])
 
 
 def virasoro_tau(g, d):
@@ -185,10 +211,9 @@ def integer_class(g, n, cap=None):
     d = dim_target(g, n)
     terms = {}
     for lam in partition_class(d, n) if cap is None else enumerate_partitions(d, n, max_part=cap):
-        full = lam + (0,) * (n - len(lam))
-        t = _tn(g, full)
+        t = _t(g, n - len(lam), lam)
         if t:
-            terms[full] = t
+            terms[lam + (0,) * (n - len(lam))] = t
     return 1 << (4 * g - 2 + n), terms
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import subprocess
 import sys
 import time
@@ -223,6 +224,20 @@ def test_bench_shape(tmp_path):
     for line in lines[2:]:
         g, tf, to = line.split("\t")
         float(tf), float(to)
+
+
+def test_bench_json(tmp_path):
+    code, out = run_cli(["bench", "-n", "3", "--g-max", "2", "--json"], tmp_path)
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    report = json.loads(out)
+    assert set(report) == {"n", "g_max", "setup_seconds", "rows"}
+    assert (report["n"], report["g_max"]) == (3, 2)
+    assert report["setup_seconds"] >= 0
+    assert [row["g"] for row in report["rows"]] == [1, 2]
+    for row in report["rows"]:
+        assert set(row) == {"g", "t_formula", "t_oracle"}
+        assert row["t_formula"] >= 0 and row["t_oracle"] >= 0
 
 
 def test_io_error_exit_code(tmp_path):

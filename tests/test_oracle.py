@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -128,6 +129,48 @@ def test_integer_core():
             math.prod(range(2 * x + 1, 0, -2)) for x in d
         )
         assert Rat(t, scale) == oracle.virasoro_tau(g, d), (g, d)
+
+
+def test_deep_genus_zero_string_chain():
+    # one frame per string step: (897, 0^899) nests 897 deep, which still
+    # fits under the default recursion limit with pytest's frames above it
+    oracle.clear_memo()
+    assert oracle.virasoro_tau(0, (897,) + (0,) * 899) == 1
+
+
+def test_string_step_memory_does_not_grow_with_the_zero_count():
+    # each memo key and frame holds the positive parts and a zero count,
+    # not the whole index: 600 frames of a 600-point index stay small
+    oracle.clear_memo()
+    tracemalloc.start()
+    try:
+        assert oracle.virasoro_tau(0, (597,) + (0,) * 599) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def _ones_and_zeros(rng, n):
+    # a composition of n - 3 into n parts: at least two thirds of the
+    # weight in 1s, the rest on two larger parts, zeros elsewhere
+    ones = rng.randint(2 * (n - 3) // 3, n - 3)
+    d = [1] * ones + [0] * (n - ones)
+    for _ in range(n - 3 - ones):
+        d[rng.randrange(2)] += 1
+    rng.shuffle(d)
+    return tuple(d)
+
+
+def test_genus_zero_multinomial_with_many_ones_and_zeros():
+    # <tau_d>_0 = (n-3)! / prod d_i!; lowering a 1 turns it into a zero
+    rng = random.Random(19)
+    for n in (12, 40, 120):
+        for _ in range(4):
+            d = _ones_and_zeros(rng, n)
+            assert d.count(1) and d.count(0)
+            want = Rat(math.factorial(n - 3), math.prod(math.factorial(x) for x in d))
+            assert oracle.virasoro_tau(0, d) == want, d
 
 
 def test_closed_genus_zero():
