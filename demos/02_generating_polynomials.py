@@ -26,10 +26,12 @@ for g, n in ((1, 3), (2, 3), (1, 4)):
 
     e1 = SymPoly.basis_element(ELEMENTARY, (1,), n).change_basis(MONOMIAL)
     ok = big.specialize_last_to_zero() == (e1 * small).change_basis(MONOMIAL)
-    print("  g=%d, n=%d -> %s" % (g, n, "holds" if ok else "FAILS"))
+    assert ok, "string equation FAILS at g=%d, n=%d" % (g, n)
+    print("  g=%d, n=%d -> holds" % (g, n))
 
 print("\nelementary-basis support bound (at most g parts >= 2):")
 for g in (1, 2, 3):
     poly = a_gn(g, 4, ELEMENTARY, table)
     worst = max((sum(1 for x in lam if x >= 2) for lam in poly.terms), default=0)
+    assert worst <= g, (g, worst)
     print("  g=%d: longest non-unit index has %d parts" % (g, worst))

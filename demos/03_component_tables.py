@@ -33,7 +33,9 @@ direct = direct_p(n)
 total = SymPoly.zero(n, SCHUR)
 for r in range(r_max(n) + 1):
     total = total + table.p_rn(r, n)
-print("\ndirect determinantal route agrees: %s  (%.2fs)" % (direct == total, time.time() - t0))
+agrees = direct == total
+assert agrees, "the direct route disagrees with the bootstrap at n=%d" % n
+print("\ndirect determinantal route agrees: %s  (%.2fs)" % (agrees, time.time() - t0))
 
 print("\ncanonical cache file:")
 print(table.dumps())

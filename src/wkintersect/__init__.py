@@ -12,7 +12,6 @@ from .sympoly import (
     ELEMENTARY,
     MONOMIAL,
     SCHUR,
-    ExponentPoly,
     SymPoly,
     inverse_kostka,
     kostka,
@@ -35,7 +34,6 @@ __all__ = [
     "Correlator",
     "DTable",
     "ELEMENTARY",
-    "ExponentPoly",
     "HContext",
     "MONOMIAL",
     "Rat",

@@ -1,21 +1,31 @@
 """Multivariate Laurent-type polynomials on the half-integer exponent
-lattice, with exact derivative calculus in integers.
+lattice, with exact derivative calculus in integers: the one polynomial
+type of the package.
 
 Exponents are stored doubled, so ``u1^(3/2)`` carries 3 in the first
-slot.  A polynomial holds integer coefficients over one denominator: the
-value is sum_k terms[k] u^(k/2) / den.  Products multiply denominators,
-a derivative multiplies each coefficient by its doubled exponent and
-doubles the denominator, and a sum brings both sides over the lcm, so no
-loop builds a rational; the caller divides once per coefficient it keeps.
+slot.  This holds for every key everywhere: ``SymPoly.to_exponent_poly``
+doubles the exponents of the monomials it expands, and
+``SymPoly.from_exponent_poly`` halves them on the way back and rejects an
+odd one.  A polynomial holds integer coefficients over one denominator:
+the value is sum_k terms[k] u^(k/2) / den.  Products multiply
+denominators, a derivative multiplies each coefficient by its doubled
+exponent and doubles the denominator, and a sum brings both sides over
+the lcm, so no loop builds a rational; the caller divides once per
+coefficient it keeps.  A product may drop every term above a doubled
+degree, which is how the truncated series (the direct route's
+exp(+-p_3/12), the oracle's classical series) stay finite.
+
 The direct determinantal computation works entirely in this
 representation and finishes by antisymmetrizing, which collapses a
 polynomial into signed "alternant classes" (strictly decreasing exponent
 vectors, held in a LaurentPoly of their own); dividing an alternant by the
 Vandermonde is then index arithmetic instead of actual polynomial
-division.
+division.  ``divide_exact`` is the actual division, for the few places
+that need it (e_1 in the series, the Vandermonde in the tests).
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from operator import add
 
@@ -90,6 +100,64 @@ class LaurentPoly:
         return LaurentPoly(
             self.n, {tuple(e + doubled for e in k): v for k, v in self.terms.items()}, self.den
         )
+
+    def evaluate(self, point):
+        """The exact value at a point of rationals; every exponent must be
+        even (an integer power)."""
+        if len(point) != self.n:
+            raise ValueError("point length %d != %d variables" % (len(point), self.n))
+        point = [Fraction(x) for x in point]
+        total = 0
+        for k, v in self.terms.items():
+            if any(e % 2 for e in k):
+                raise ValueError("half-integer power %r has no rational value" % (k,))
+            for x, e in zip(point, k):
+                if e:
+                    v *= x ** (e // 2)
+            total += v
+        return Fraction(total) / self.den
+
+    def divide_exact(self, divisor):
+        """The polynomial quotient by a divisor whose lex-leading coefficient
+        is +-1, by lex-ordered elimination in integers; raises ValueError for
+        any other divisor and when the division leaves a remainder."""
+        dlead = max(divisor.terms, default=None)
+        if dlead is None or divisor.terms[dlead] not in (1, -1):
+            raise ValueError("divisor must have leading coefficient +-1")
+        dval = divisor.terms[dlead]
+        rem = dict(self.terms)
+        out = {}
+        while rem:
+            lead = max(rem)
+            if any(l < d for l, d in zip(lead, dlead)):
+                raise ValueError("inexact polynomial division")
+            q = tuple(l - d for l, d in zip(lead, dlead))
+            c = rem[lead] * dval
+            out[q] = c
+            for k, v in divisor.terms.items():
+                kk = tuple(map(add, q, k))
+                w = rem.get(kk, 0) - c * v
+                if w:
+                    rem[kk] = w
+                else:
+                    rem.pop(kk, None)
+        return LaurentPoly(self.n, {k: v * divisor.den for k, v in out.items()}, self.den)
+
+
+def exp_p3(n, sign, cap_doubled):
+    """exp(sign * p_3 / 12) truncated at the doubled-degree cap, over the
+    common denominator 12^K K! of its powers p_3^k / (12^k k!), k <= K."""
+    top = cap_doubled // 6
+    den = 12**top * math.factorial(top)
+    p3 = LaurentPoly(n, {tuple(6 if j == i else 0 for j in range(n)): 1 for i in range(n)})
+    term = LaurentPoly.constant(n, 1)
+    terms = {(0,) * n: den}
+    for k in range(1, top + 1):
+        term = term * p3
+        w = sign**k * (den // (12**k * math.factorial(k)))
+        # p_3^k is homogeneous of doubled degree 6k, so no key repeats
+        terms.update((key, w * c) for key, c in term.terms.items())
+    return LaurentPoly(n, terms, den)
 
 
 def _antisymmetrize(pairs, n, den):

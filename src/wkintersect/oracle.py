@@ -5,7 +5,10 @@ from the two seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; this module
 evaluates it with aggressive memoization and supplies the generating
 polynomials the coefficient tables are built from.  Closed forms in
 genus 0 and 1 and exact truncations of the classical one-, two- and
-three-point series give further independent anchors.
+three-point series give further independent anchors.  The series run on
+the integer LaurentPoly of :mod:`laurent` (exponents doubled), over one
+denominator per polynomial, and every product drops the terms above the
+genus it is asked for as it is formed.
 
 The memo holds integers.  For d sorted in descending order it stores
 
@@ -45,16 +48,12 @@ reads (lam_1 <= 3n - 6), and ``a_gn_oracle`` is that class without a cap.
 """
 
 import math
+from itertools import permutations
 
-from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int
+from .rational import RAT_ONE, Rat, double_factorial_odd_int
 from .partitions import enumerate_partitions, partition_class, ptrim
-from .sympoly import (
-    ELEMENTARY,
-    MONOMIAL,
-    ExponentPoly,
-    SymPoly,
-    elementary_exponent_poly,
-)
+from .laurent import LaurentPoly, exp_p3
+from .sympoly import ELEMENTARY, MONOMIAL, SymPoly
 
 _MEMO = {}
 
@@ -248,37 +247,26 @@ def closed_a1n(n):
 # ---------------------------------------------------------------------------
 
 
-def _exp_p3_exponent_poly(n, g_max):
-    """exp(p_3/12) truncated beyond degree 3*g_max, as an ExponentPoly."""
-    p3 = ExponentPoly(n, {tuple(3 if j == i else 0 for j in range(n)): RAT_ONE for i in range(n)})
-    acc = ExponentPoly.constant(n, 1)
-    term = ExponentPoly.constant(n, 1)
-    for k in range(1, g_max + 1):
-        term = term * p3
-        term = term.scale(Rat(1, 12 * k))
-        acc = acc + term
-    cap = 3 * g_max
-    return ExponentPoly(n, {k: v for k, v in acc.terms.items() if sum(k) <= cap})
-
-
-def _truncate(poly, cap):
-    return ExponentPoly(poly.n, {k: v for k, v in poly.terms.items() if sum(k) <= cap})
-
-
-def _homogeneous_piece(poly, degree):
-    return ExponentPoly(poly.n, {k: v for k, v in poly.terms.items() if sum(k) == degree})
+def _genus_pieces(acc, g_max):
+    """{g: the degree-3g piece of e^{p_3/12} acc over 2^g}, g <= g_max: for
+    a series (e^{p_3/12}/2) acc this is A_g times the e_1 it may still hold.
+    The product drops every term above degree 3 g_max as it is formed."""
+    cap = 6 * g_max
+    total = acc.mul(exp_p3(acc.n, 1, cap), cap)
+    out = {g: {} for g in range(g_max + 1)}
+    for k, v in total.terms.items():
+        out[sum(k) // 6][k] = v
+    return {g: LaurentPoly(acc.n, t, total.den << g) for g, t in out.items()}
 
 
 def series_one_point(g_max):
     """Per-genus pieces of the one-point series e^{p3/12} / (2 e_1^2)."""
-    out = {}
-    exp = _exp_p3_exponent_poly(1, g_max)
-    for g in range(1, g_max + 1):
-        piece = _homogeneous_piece(exp, 3 * g)  # times u^{-2} shifts degree
-        coeff = piece.terms.get((3 * g,), RAT_ZERO) / 2
-        norm = Rat(2) ** (1 - g)
-        out[g] = SymPoly(1, MONOMIAL, {(3 * g - 2,): coeff * norm})
-    return out
+    exp = exp_p3(1, 1, 6 * g_max)
+    # dividing by u^2 shifts degree 3g to 3g - 2
+    return {
+        g: SymPoly(1, MONOMIAL, {(3 * g - 2,): Rat(exp.terms[6 * g,], exp.den << g)})
+        for g in range(1, g_max + 1)
+    }
 
 
 def series_two_point(g_max):
@@ -287,45 +275,35 @@ def series_two_point(g_max):
     e_1-multiplied polynomial form.  (The 2^-k is essential: without it the
     genus-1 piece already contradicts the closed form (e_1^2 - e_2)/24.)"""
     n = 2
-    cap = 3 * g_max
-    e1 = elementary_exponent_poly(1, n)
-    e2 = elementary_exponent_poly(2, n)
-    e1e2 = e1 * e2
-    acc = ExponentPoly.constant(n, 1)
-    term = ExponentPoly.constant(n, 1)
-    k = 0
-    while 3 * (k + 1) <= cap:
-        k += 1
-        term = _truncate(term * e1e2, cap)
-        acc = acc + term.scale(Rat(1, _dfo(2 * k + 1) << k))
-    total = _truncate(acc * _exp_p3_exponent_poly(n, g_max), cap).scale(Rat(1, 2))
-    out = {}
-    for g in range(1, g_max + 1):
-        piece = _homogeneous_piece(total, 3 * g)
-        agn = piece.divide_exact(e1).to_monomial_sympoly().scale(Rat(2) ** (1 - g))
-        out[g] = agn
-    return out
+    cap = 6 * g_max
+    e1 = LaurentPoly(n, {(2, 0): 1, (0, 2): 1})
+    e1e2 = LaurentPoly(n, {(4, 2): 1, (2, 4): 1})
+    den = _dfo(2 * g_max + 1) << g_max
+    # each (e_1 e_2)^k is homogeneous of doubled degree 6k, so no key repeats
+    terms = {(0, 0): den}
+    term = LaurentPoly.constant(n, 1)
+    for k in range(1, g_max + 1):
+        term = term.mul(e1e2, cap)
+        w = den // (_dfo(2 * k + 1) << k)
+        terms.update((key, w * c) for key, c in term.terms.items())
+    pieces = _genus_pieces(LaurentPoly(n, terms, den), g_max)
+    return {g: SymPoly.from_exponent_poly(pieces[g].divide_exact(e1)) for g in range(1, g_max + 1)}
 
 
 def zagier_s_polynomial(r):
     """The degree-3r symmetric polynomial
-    [ (u1 u2)^r (u1+u2)^(r+1) + cyclic ] / (u1+u2+u3), by exact division."""
-    n = 3
-    num = ExponentPoly(n)
-    pairs = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
-    for i, j, k in pairs:
-        mono = [0, 0, 0]
-        mono[i] = r
-        mono[j] = r
-        base = ExponentPoly(n, {tuple(mono): RAT_ONE})
-        ui = ExponentPoly(n, {tuple(1 if t == i else 0 for t in range(n)): RAT_ONE})
-        uj = ExponentPoly(n, {tuple(1 if t == j else 0 for t in range(n)): RAT_ONE})
-        s = ui + uj
-        p = ExponentPoly.constant(n, 1)
-        for _ in range(r + 1):
-            p = p * s
-        num = num + base * p
-    return num.divide_exact(elementary_exponent_poly(1, n))
+    [ (u1 u2)^r (u1+u2)^(r+1) + cyclic ] / (u1+u2+u3), by exact division;
+    a LaurentPoly in integers (exponents doubled)."""
+    num = {}
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        for a in range(r + 2):
+            key = [0, 0, 0]
+            key[i] = 2 * (r + a)
+            key[j] = 2 * (2 * r + 1 - a)
+            key = tuple(key)
+            num[key] = num.get(key, 0) + math.comb(r + 1, a)
+    e1 = LaurentPoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    return LaurentPoly(3, num).divide_exact(e1)
 
 
 def series_three_point(g_max):
@@ -333,30 +311,25 @@ def series_three_point(g_max):
     e^{p3/12}/2 * sum_{r,s} r! S_r / (2^{r+1} (2r+1)!!) * Delta^s / (4^s (r+s+1)!)
     with Delta = (u1+u2)(u2+u3)(u1+u3)."""
     n = 3
-    cap = 3 * g_max
-    e1 = elementary_exponent_poly(1, n)
-    e2 = elementary_exponent_poly(2, n)
-    e3 = elementary_exponent_poly(3, n)
-    delta = e1 * e2 - e3
-    acc = ExponentPoly(n)
-    for r in range(0, g_max + 1):
-        sr = zagier_s_polynomial(r)
-        if all(sum(k) > cap for k in sr.terms) and r > 0:
-            break
-        dpow = ExponentPoly.constant(n, 1)
-        for s in range(0, g_max - r + 1):
-            if 3 * (r + s) > cap:
-                break
-            c = Rat(math.factorial(r), (1 << (r + 1)) * _dfo(2 * r + 1))
-            c = c * Rat(1, (1 << (2 * s)) * math.factorial(r + s + 1))
-            acc = acc + _truncate(sr * dpow, cap).scale(c)
-            dpow = _truncate(dpow * delta, cap)
-    total = _truncate(acc * _exp_p3_exponent_poly(n, g_max), cap).scale(Rat(1, 2))
-    out = {}
-    for g in range(0, g_max + 1):
-        piece = _homogeneous_piece(total, 3 * g)
-        out[g] = piece.to_monomial_sympoly().scale(Rat(2) ** (1 - g))
-    return out
+    cap = 6 * g_max
+    delta = LaurentPoly(n, {(2, 2, 2): 2, **{k: 1 for k in permutations((4, 2, 0))}})
+    weights = {
+        (r, s): Rat(math.factorial(r), (2 << r) * _dfo(2 * r + 1) * (4**s) * math.factorial(r + s + 1))
+        for r in range(g_max + 1)
+        for s in range(g_max + 1 - r)
+    }
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    terms = {}
+    for r in range(g_max + 1):
+        term = zagier_s_polynomial(r)
+        for s in range(g_max + 1 - r):
+            w = weights[r, s]
+            w = w.numerator * (den // w.denominator)
+            for key, c in term.terms.items():
+                terms[key] = terms.get(key, 0) + w * c
+            term = term.mul(delta, cap)
+    pieces = _genus_pieces(LaurentPoly(n, terms, den), g_max)
+    return {g: SymPoly.from_exponent_poly(piece) for g, piece in pieces.items()}
 
 
 def series_reference(which, g_max):

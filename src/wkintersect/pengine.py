@@ -72,6 +72,9 @@ FILE_HEADER = "# dtable v1"
 # weight class (an n = 7 table up to r = 15 needs 16 475; n = 6 needs 1 729)
 MAX_CLASS_SIZE = 20000
 
+# the direct route's cost grows like n!; beyond this it is refused
+DIRECT_ROUTE_MAX_N = 5
+
 
 def r_max(n):
     """Largest homogeneous index: (n-1)(n-2)/2."""
@@ -167,23 +170,7 @@ def trace_mtilde_product(n):
     return laurent.LaurentPoly(n, (m[0][0] + m[1][1]).terms, 4**n)
 
 
-def _exp_p3(n, sign, cap_doubled):
-    """exp(sign * p_3 / 12) truncated at the doubled-degree cap, over the
-    common denominator 12^K K! of its powers p_3^k / (12^k k!), k <= K."""
-    top = cap_doubled // 6
-    den = 12**top * math.factorial(top)
-    p3 = laurent.LaurentPoly(n, {tuple(6 if j == i else 0 for j in range(n)): 1 for i in range(n)})
-    term = laurent.LaurentPoly.constant(n, 1)
-    terms = {(0,) * n: den}
-    for k in range(1, top + 1):
-        term = term * p3
-        w = sign**k * (den // (12**k * math.factorial(k)))
-        # p_3^k is homogeneous of doubled degree 6k, so no key repeats
-        terms.update((key, w * c) for key, c in term.terms.items())
-    return laurent.LaurentPoly(n, terms, den)
-
-
-def direct_p(n, extra_truncation=0, n_limit=5):
+def direct_p(n, extra_truncation=0):
     """Full P_n (all homogeneous components) by the determinantal route.
 
     The derivative grid runs over the cyclically non-adjacent index pairs:
@@ -198,12 +185,13 @@ def direct_p(n, extra_truncation=0, n_limit=5):
 
     Exact up to the nominal maximum degree; raising ``extra_truncation``
     by multiples of 3 widens every internal series truncation, which must
-    not change the result.  Cost grows like n! — guarded by ``n_limit``.
+    not change the result.  Cost grows like n!, so n is capped at
+    ``DIRECT_ROUTE_MAX_N``.
     """
     if n < 3:
         raise ValueError("the determinantal route starts at n = 3")
-    if n > n_limit:
-        raise ValueError("n = %d beyond the configured direct-route limit %d" % (n, n_limit))
+    if n > DIRECT_ROUTE_MAX_N:
+        raise ValueError("n = %d beyond the direct-route limit %d" % (n, DIRECT_ROUTE_MAX_N))
     dmax = 3 * r_max(n) - 3 + n + 3 * extra_truncation
     # a working term of doubled degree D lands at final doubled degree
     # >= D + n, so the working polynomial may be capped tightly
@@ -211,7 +199,7 @@ def direct_p(n, extra_truncation=0, n_limit=5):
     series_cap = work_cap + 3 * n
 
     work = trace_mtilde_product(n).shift_all(-1)  # divide by sqrt(e_n)
-    work = work.mul(_exp_p3(n, +1, series_cap), work_cap)
+    work = work.mul(laurent.exp_p3(n, +1, series_cap), work_cap)
     for i in range(n):
         for j in range(i + 2, n):
             if i == 0 and j == n - 1:
@@ -222,7 +210,7 @@ def direct_p(n, extra_truncation=0, n_limit=5):
     # by e_n^(n - 3/2) adds n(2n - 3), so a product above 2 dmax - n(n - 2)
     # is a truncation artifact
     classes = laurent.class_mul_symmetric(
-        classes, _exp_p3(n, -1, series_cap), 2 * dmax - n * (n - 2)
+        classes, laurent.exp_p3(n, -1, series_cap), 2 * dmax - n * (n - 2)
     )
     classes = classes.shift_all(2 * n - 3)  # e_n^(n - 3/2)
 

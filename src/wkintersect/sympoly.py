@@ -27,6 +27,11 @@ Kostka columns themselves are grown by horizontal strips on beta
 numbers and keyed by them; they serve the questions that really are
 Kostka columns, above all the formula's ``tau``.
 
+Products and values go through the expansion into the integer
+:class:`~wkintersect.laurent.LaurentPoly` (``to_exponent_poly``, every
+exponent doubled) and the collection back into the monomial basis
+(``from_exponent_poly``); no table or query path multiplies two SymPolys.
+
 No column, Kostka or dual, is kept between calls: each question builds
 the columns it reads and drops them, so a sweep over many indices holds
 no more than one index needs.  The one memo left here is the partition
@@ -35,8 +40,7 @@ classes of :func:`partition_class` (an ``lru_cache`` with one entry per
 """
 
 import math
-from itertools import permutations
-from operator import add
+from itertools import combinations, permutations
 
 from .rational import RAT_ONE, RAT_ZERO, Rat, rat_from_str
 from .partitions import (
@@ -47,7 +51,9 @@ from .partitions import (
     partition_class,
     ptrim,
     transpose,
+    z_factor,
 )
+from .laurent import LaurentPoly
 
 MONOMIAL = "m"
 ELEMENTARY = "e"
@@ -185,136 +191,6 @@ def clear_caches():
     partition_class.cache_clear()
 
 
-# ---------------------------------------------------------------------------
-# Dense exponent-vector polynomials (expansion backend)
-# ---------------------------------------------------------------------------
-
-
-class ExponentPoly:
-    """Sparse polynomial keyed by full exponent vectors of length n.
-
-    This is the concrete expansion target used for products, evaluation
-    and brute-force cross-checks; no zero coefficients are stored.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def constant(cls, n, value):
-        value = Rat(value)
-        return cls(n, {(0,) * n: value} if value else {})
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            w = terms.get(k, RAT_ZERO) + v
-            if w:
-                terms[k] = w
-            elif k in terms:
-                del terms[k]
-        return ExponentPoly(self.n, terms)
-
-    def __neg__(self):
-        return ExponentPoly(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Rat(c)
-        if not c:
-            return ExponentPoly(self.n)
-        return ExponentPoly(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        """Exact product, accumulated in integers over the two common
-        denominators and reduced once per output term."""
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        da, a = _integer_terms(self.terms)
-        db, b = _integer_terms(other.terms)
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ka, va in a:
-            for kb, vb in b:
-                k = tuple(map(add, ka, kb))
-                out[k] = out.get(k, 0) + va * vb
-        den = da * db
-        return ExponentPoly(self.n, {k: Rat(v, den) for k, v in out.items() if v})
-
-    def evaluate(self, point):
-        if len(point) != self.n:
-            raise ValueError("point length %d != %d variables" % (len(point), self.n))
-        point = [Rat(x) for x in point]
-        total = RAT_ZERO
-        for k, v in self.terms.items():
-            w = v
-            for x, e in zip(point, k):
-                if e:
-                    w *= x ** e
-            total += w
-        return total
-
-    def divide_exact(self, divisor):
-        """Exact division by another ExponentPoly (lex-ordered elimination);
-        raises ValueError when the division leaves a remainder."""
-        if not divisor.terms:
-            raise ZeroDivisionError("division by zero polynomial")
-        dlead = max(divisor.terms)
-        dval = divisor.terms[dlead]
-        rem = dict(self.terms)
-        out = {}
-        while rem:
-            lead = max(rem)
-            if any(l < d for l, d in zip(lead, dlead)):
-                raise ValueError("inexact polynomial division")
-            q = tuple(l - d for l, d in zip(lead, dlead))
-            c = rem[lead] / dval
-            out[q] = out.get(q, RAT_ZERO) + c
-            for k, v in divisor.terms.items():
-                kk = tuple(x + y for x, y in zip(q, k))
-                w = rem.get(kk, RAT_ZERO) - c * v
-                if w:
-                    rem[kk] = w
-                elif kk in rem:
-                    del rem[kk]
-        return ExponentPoly(self.n, {k: v for k, v in out.items() if v})
-
-    def to_monomial_sympoly(self):
-        """Collect a symmetric ExponentPoly into the monomial basis.
-
-        Verifies symmetry: every orbit must be fully present with one
-        common coefficient.
-        """
-        reps = {}
-        seen = {}
-        for k, v in self.terms.items():
-            srt = ptrim(sorted(k, reverse=True))
-            seen[srt] = seen.get(srt, 0) + 1
-            if reps.setdefault(srt, v) != v:
-                raise ValueError("polynomial is not symmetric")
-        for srt, count in seen.items():
-            orbit = math.factorial(self.n)
-            run = 1
-            padded = srt + (0,) * (self.n - len(srt))
-            for i in range(1, self.n + 1):
-                if i < self.n and padded[i] == padded[i - 1]:
-                    run += 1
-                else:
-                    orbit //= math.factorial(run)
-                    run = 1
-            if count != orbit:
-                raise ValueError("polynomial is not symmetric")
-        return SymPoly(self.n, MONOMIAL, reps)
-
-
 def _integer_terms(terms):
     """(den, [(key, int)]) with each coefficient equal to int / den."""
     den = math.lcm(*(v.denominator for v in terms.values()))
@@ -442,27 +318,6 @@ def schur_integers(padded, n, width=None):
     return out
 
 
-def _distinct_permutations(padded):
-    return set(permutations(padded))
-
-
-def monomial_exponent_poly(lam, n):
-    if len(lam) > n:
-        raise ValueError("partition %r too long for %d variables" % (lam, n))
-    padded = lam + (0,) * (n - len(lam))
-    return ExponentPoly(n, {k: RAT_ONE for k in _distinct_permutations(padded)})
-
-
-def elementary_exponent_poly(k, n):
-    if k < 0 or k > n:
-        return ExponentPoly(n)
-    out = {}
-    # all 0/1 exponent vectors with k ones
-    for subset in _distinct_permutations((1,) * k + (0,) * (n - k)):
-        out[subset] = RAT_ONE
-    return ExponentPoly(n, out)
-
-
 # ---------------------------------------------------------------------------
 # SymPoly
 # ---------------------------------------------------------------------------
@@ -565,8 +420,7 @@ class SymPoly:
         """Exact product, returned in the monomial basis."""
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        prod = self.to_exponent_poly() * other.to_exponent_poly()
-        return prod.to_monomial_sympoly()
+        return SymPoly.from_exponent_poly(self.to_exponent_poly() * other.to_exponent_poly())
 
     def __eq__(self, other):
         return (
@@ -605,23 +459,48 @@ class SymPoly:
     # -- expansions ------------------------------------------------------
 
     def to_exponent_poly(self):
+        """The expansion into a :class:`~wkintersect.laurent.LaurentPoly`,
+        each exponent doubled, integers over one denominator."""
         if self.basis == SCHUR:
             return self.change_basis(MONOMIAL).to_exponent_poly()
-        out = ExponentPoly(self.n)
+        n = self.n
+        den, items = _integer_terms(self.terms)
         if self.basis == MONOMIAL:
-            for lam, c in self.terms.items():
-                out = out + monomial_exponent_poly(lam, self.n).scale(c)
-            return out
-        ecache = {}
-        for lam, c in self.terms.items():
-            acc = ExponentPoly.constant(self.n, 1)
+            out = {}
+            for lam, c in items:
+                doubled = tuple(2 * a for a in lam) + (0,) * (n - len(lam))
+                out.update(dict.fromkeys(set(permutations(doubled)), c))
+            return LaurentPoly(n, out, den)
+        ek = {}
+        total = LaurentPoly(n)
+        for lam, c in items:
+            acc = LaurentPoly.constant(n, c)
             for part in lam:
-                ek = ecache.get(part)
-                if ek is None:
-                    ek = ecache[part] = elementary_exponent_poly(part, self.n)
-                acc = acc * ek
-            out = out + acc.scale(c)
-        return out
+                if part not in ek:
+                    subsets = combinations(range(n), part)
+                    ek[part] = LaurentPoly(n, {tuple(2 * (i in s) for i in range(n)): 1 for s in subsets})
+                acc = acc * ek[part]
+            total = total + acc
+        return LaurentPoly(n, total.terms, den)
+
+    @classmethod
+    def from_exponent_poly(cls, poly):
+        """Collect a symmetric LaurentPoly back into the monomial basis,
+        halving its exponents.  Raises ValueError on an odd or negative
+        exponent and unless every orbit is present with one coefficient."""
+        n = poly.n
+        reps = {}
+        seen = {}
+        for k, v in poly.terms.items():
+            if any(e % 2 or e < 0 for e in k):
+                raise ValueError("not a polynomial in u: exponent %r" % (k,))
+            lam = ptrim(sorted((e // 2 for e in k), reverse=True))
+            seen[lam] = seen.get(lam, 0) + 1
+            if reps.setdefault(lam, v) != v:
+                raise ValueError("polynomial is not symmetric")
+        if any(count * z_factor(lam, n) != math.factorial(n) for lam, count in seen.items()):
+            raise ValueError("polynomial is not symmetric")
+        return cls(n, MONOMIAL, {lam: Rat(v, poly.den) for lam, v in reps.items()})
 
     def evaluate(self, point):
         return self.to_exponent_poly().evaluate(point)
@@ -677,15 +556,14 @@ class SymPoly:
                 out[lam] = Rat(c, den)
         return SymPoly._make(n, MONOMIAL, out)
 
-    def _monomial_to_schur(self, width=None):
+    def _monomial_to_schur(self):
         """Schur coefficients read off the alternant, one shape at a time:
         [s_mu] f = sum_w sgn(w) f[sort(mu + delta - w(delta))] over the
         permutations w that leave every entry non-negative, in integers
-        over one common denominator; with ``width`` only the shapes with
-        mu_1 <= width are read."""
+        over one common denominator."""
         n = self.n
         den, items = _integer_terms(self.terms)
-        z = schur_integers({lam + (0,) * (n - len(lam)): c for lam, c in items}, n, width)
+        z = schur_integers({lam + (0,) * (n - len(lam)): c for lam, c in items}, n)
         return SymPoly._make(n, SCHUR, {mu: Rat(c, den) for mu, c in z.items()})
 
     def _elementary_to_schur(self):

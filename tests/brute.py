@@ -6,7 +6,9 @@ walk over rearrangements, DVV recursions pivoted on the largest index.
 None of it shares code with the production paths, except that the
 formula-level references at the end (H^{-1} of elementary products, the
 unpruned bootstrap) are assembled from the library's whole Kostka columns,
-and the differential H runs on the library's Laurent polynomials.
+and the bialternant and the differential H run on the library's Laurent
+polynomials (the one polynomial type of :mod:`wkintersect.laurent`, which
+the production paths do not use).
 """
 
 import math
@@ -14,12 +16,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
-from wkintersect import laurent, sympoly
-from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat
+from wkintersect import laurent
+from wkintersect.rational import RAT_ZERO, Rat
 from wkintersect.partitions import hook_numbers, partition_class, ptrim
 from wkintersect.hop import _dden, _gnum, barnes_constant
 from wkintersect.sympoly import (
-    ExponentPoly,
     SymPoly,
     MONOMIAL,
     SCHUR,
@@ -173,28 +174,24 @@ def signed_det_inverse_kostka(lam, mu, n):
 
 
 def vandermonde_exponent_poly(n):
-    out = ExponentPoly.constant(n, 1)
+    """prod_{i<j} (u_i - u_j) as a LaurentPoly (exponents doubled)."""
+    out = laurent.LaurentPoly.constant(n, 1)
     for i in range(n):
         for j in range(i + 1, n):
-            ei = [0] * n
-            ei[i] = 1
-            ej = [0] * n
-            ej[j] = 1
-            diff = ExponentPoly(n, {tuple(ei): RAT_ONE, tuple(ej): Rat(-1)})
-            out = out * diff
+            out = out * laurent.LaurentPoly(
+                n, {tuple(2 * (t == i) for t in range(n)): 1, tuple(2 * (t == j) for t in range(n)): -1}
+            )
     return out
 
 
 def bialternant_schur(lam, n):
     """Schur polynomial as det(u_i^{L_j}) / Vandermonde, fully expanded."""
     L = hook_numbers(lam, n)
-    num = ExponentPoly(n)
+    num = {}
     for sigma in permutations(range(n)):
-        key = tuple(L[sigma[i]] for i in range(n))
-        c = Rat(_perm_sign(tuple(s + 1 for s in sigma)))
-        num = num + ExponentPoly(n, {key: c})
-    quotient = num.divide_exact(vandermonde_exponent_poly(n))
-    return quotient.to_monomial_sympoly()
+        num[tuple(2 * L[sigma[i]] for i in range(n))] = _perm_sign(tuple(s + 1 for s in sigma))
+    quotient = laurent.LaurentPoly(n, num).divide_exact(vandermonde_exponent_poly(n))
+    return SymPoly.from_exponent_poly(quotient)
 
 
 def jacobi_trudi_schur(lam, n):
@@ -349,9 +346,7 @@ def h_raw(poly):
     Exponential in n; meant for low-degree cross-checks of
     ``HContext.apply``."""
     n = poly.n
-    den, items = sympoly._integer_terms(poly.to_exponent_poly().terms)
-    work = laurent.LaurentPoly(n, {tuple(2 * e for e in k): c for k, c in items}, den)
-    work = work.shift_all(1)  # multiply by sqrt(e_n)
+    work = poly.to_exponent_poly().shift_all(1)  # multiply by sqrt(e_n)
     for i in range(n):
         for j in range(i + 1, n):
             work = work.diff(i) - work.diff(j)

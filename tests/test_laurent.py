@@ -1,3 +1,5 @@
+import pytest
+
 from wkintersect.laurent import LaurentPoly, antisym_classes, class_mul_symmetric
 from wkintersect.rational import Rat
 
@@ -61,3 +63,26 @@ def test_sums_over_one_denominator():
     assert _value(total) == {(2,): Rat(5, 6)}
     # a sum that cancels drops the term
     assert (half - LaurentPoly(1, {(2,): 2}, 4)).terms == {}
+
+
+def test_evaluate_reads_doubled_exponents():
+    # (3 u1^2 u2 - 1) / 4 at (1/2, 3): (9/4 - 1) / 4 = 5/16
+    poly = LaurentPoly(2, {(4, 2): 3, (0, 0): -1}, 4)
+    assert poly.evaluate((Rat(1, 2), 3)) == Rat(5, 16)
+    with pytest.raises(ValueError):
+        poly.evaluate((1,))
+    # u^(1/2) has no rational value at a rational point
+    with pytest.raises(ValueError):
+        LaurentPoly(1, {(1,): 1}).evaluate((4,))
+
+
+def test_divide_exact_keeps_the_denominators():
+    # (u1^2 - u2^2) / 3 divided by (u1 + u2) / 2 is 2 (u1 - u2) / 3
+    num = LaurentPoly(2, {(4, 0): 1, (0, 4): -1}, 3)
+    quotient = num.divide_exact(LaurentPoly(2, {(2, 0): 1, (0, 2): 1}, 2))
+    assert _value(quotient) == {(2, 0): Rat(2, 3), (0, 2): Rat(-2, 3)}
+    # a leading coefficient -1 is a unit as well
+    assert _value(num.divide_exact(LaurentPoly(2, {(2, 0): -1, (0, 2): -1}))) == {
+        (2, 0): Rat(-1, 3),
+        (0, 2): Rat(1, 3),
+    }

@@ -214,14 +214,15 @@ def test_unknown_series_rejected():
 def test_s_polynomial_integrality():
     for r in range(0, 9):
         sr = oracle.zagier_s_polynomial(r)
+        assert sr.den == 1
         for k, v in sr.terms.items():
-            assert sum(k) == 3 * r
-            assert v == int(v), (r, k, v)
+            assert sum(k) == 6 * r  # doubled exponents
+            assert isinstance(v, int), (r, k, v)
 
 
 def test_s_polynomial_values():
     s0 = oracle.zagier_s_polynomial(0)
-    assert s0.terms == {(0, 0, 0): 2}
+    assert (s0.terms, s0.den) == ({(0, 0, 0): 2}, 1)
     # S_1 at (1,1,1): [(1)(4) * 3] / 3 = 4
     assert oracle.zagier_s_polynomial(1).evaluate((1, 1, 1)) == 4
 

@@ -7,7 +7,7 @@ import pytest
 from brute import bootstrap_unpruned
 from golden_tables import TABLE_E6, TABLE_SCHUR
 from wkintersect.rational import Rat, rat_from_str
-from wkintersect import intersect, oracle, pengine
+from wkintersect import intersect, laurent, oracle, pengine
 from wkintersect.hop import HContext
 from wkintersect.partitions import partition_class
 from wkintersect.pengine import (
@@ -20,7 +20,7 @@ from wkintersect.pengine import (
     r_max,
     trace_shift_invariance,
 )
-from wkintersect.sympoly import ELEMENTARY, SCHUR, SymPoly, power_sum_times_schur
+from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly, power_sum_times_schur
 
 
 def as_terms(golden):
@@ -161,6 +161,30 @@ def test_direct_route_guard():
         direct_p(2)
     with pytest.raises(ValueError):
         direct_p(6)
+
+
+def test_production_path_runs_no_direct_route_code(monkeypatch):
+    # the two routes to the tables share no code: with the direct route's
+    # polynomial type and its antisymmetrizing steps disabled, the bootstrap
+    # and every query still run and still give the right numbers
+    def refuse(*args, **kwargs):
+        raise AssertionError("the production path reached the direct route")
+
+    monkeypatch.setattr(laurent.LaurentPoly, "__init__", refuse)
+    monkeypatch.setattr(laurent, "antisym_classes", refuse)
+    monkeypatch.setattr(laurent, "class_mul_symmetric", refuse)
+    oracle.clear_memo()
+    every = bootstrap_all(3, 4)
+    for r in range(4):
+        assert every[r].terms == as_terms(TABLE_SCHUR[(r, 4)]), r
+    table = DTable()
+    for g, d in ((2, (3, 2, 1, 1)), (2, (7, 0, 0, 0)), (3, (3, 3, 2, 1, 0))):
+        assert intersect.tau(g, d, table) == oracle.virasoro_tau(g, d), (g, d)
+    want = oracle.a_gn_oracle(2, 4)
+    assert intersect.a_gn(2, 4, MONOMIAL, table) == want
+    assert intersect.a_gn(2, 4, ELEMENTARY, table) == want.change_basis(ELEMENTARY)
+    numbers = intersect.w_gn(1, 3, table).intersection_numbers()
+    assert numbers == oracle.a_gn_oracle(1, 3).terms
 
 
 def test_genus_independence_overdetermined(dtable):
