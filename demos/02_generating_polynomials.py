@@ -8,7 +8,7 @@ with coefficients that do not depend on n — both facts checked live here.
 """
 
 from wkintersect import DTable, a_gn
-from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR
+from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly
 
 table = DTable()
 
@@ -22,8 +22,6 @@ print("string equation: A_{g,n+1}(u, 0) = e_1 * A_{g,n}")
 for g, n in ((1, 3), (2, 3), (1, 4)):
     big = a_gn(g, n + 1, MONOMIAL, table)
     small = a_gn(g, n, MONOMIAL, table)
-    from wkintersect.sympoly import SymPoly
-
     e1 = SymPoly.basis_element(ELEMENTARY, (1,), n).change_basis(MONOMIAL)
     ok = big.specialize_last_to_zero() == (e1 * small).change_basis(MONOMIAL)
     assert ok, "string equation FAILS at g=%d, n=%d" % (g, n)
@@ -35,3 +33,18 @@ for g in (1, 2, 3):
     worst = max((sum(1 for x in lam if x >= 2) for lam in poly.terms), default=0)
     assert worst <= g, (g, worst)
     print("  g=%d: longest non-unit index has %d parts" % (g, worst))
+
+
+def elementary_coefficients(g, n):
+    """{nu: C_g(nu)} with nu the parts >= 2 of each elementary index."""
+    poly = a_gn(g, n, ELEMENTARY, table)
+    return {tuple(x for x in lam if x >= 2): c for lam, c in poly.terms.items()}
+
+
+print("\nelementary coefficients C_g(nu) do not depend on n (nu_1 <= n):")
+for g in (1, 2, 3):
+    for n in (3, 4):
+        small = elementary_coefficients(g, n)
+        big = {nu: c for nu, c in elementary_coefficients(g, n + 1).items() if not nu or nu[0] <= n}
+        assert small == big, "C_%d(nu) differs between n=%d and n=%d" % (g, n, n + 1)
+        print("  g=%d: n=%d and n=%d agree on %d coefficients" % (g, n, n + 1, len(small)))

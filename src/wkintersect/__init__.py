@@ -1,7 +1,7 @@
 """Exact computation of Witten-Kontsevich intersection numbers.
 
-The closed-formula route (genus-independent coefficient tables, gated
-determinants and weighted Kostka numbers) lives alongside an
+The closed-formula route (genus-independent coefficient tables, 3-ribbon
+chains in p_3 and weighted Kostka numbers) lives alongside an
 independent Virasoro-recursion oracle; everything is exact rational
 arithmetic end to end.
 """
@@ -18,15 +18,9 @@ from .sympoly import (
     power_sum_times_schur,
 )
 from .hop import HContext, barnes_constant, n_factor
-from .pengine import DTable, direct_p, degree_rn, r_max, trace_shift_invariance
-from .intersect import Correlator, a_gn, q_coeff, tau, w_gn, wn_det_truncated
-from .oracle import (
-    a_gn_oracle,
-    closed_a0n,
-    closed_a1n,
-    series_reference,
-    virasoro_tau,
-)
+from .pengine import DTable, direct_p, degree_rn, r_max
+from .intersect import Correlator, a_gn, q_coeff, tau, w_gn
+from .oracle import a_gn_oracle, series_reference, virasoro_tau
 
 __version__ = "0.1.0"
 
@@ -42,8 +36,6 @@ __all__ = [
     "a_gn",
     "a_gn_oracle",
     "barnes_constant",
-    "closed_a0n",
-    "closed_a1n",
     "degree_rn",
     "direct_p",
     "dominates",
@@ -59,9 +51,7 @@ __all__ = [
     "r_max",
     "series_reference",
     "tau",
-    "trace_shift_invariance",
     "transpose",
     "virasoro_tau",
     "w_gn",
-    "wn_det_truncated",
 ]

@@ -21,9 +21,7 @@ Since Q_{nu,mu} = <p_3^k s_nu, s_mu> / k!, every Q sum is a chain of
 * ``a_gn`` and ``w_gn`` read one upward image
   X_{g,n} = sum_r 12^r / (g-r)! p_3^(g-r) P_{r,n}: the generating
   polynomial is H^{-1}(X) / 24^g, the correlator coefficients are
-  Gamma(mu) X_mu / 12^g (the Kostka numbers cancel);
-* ``wn_det_truncated`` produces all genera of a correlator at once from
-  a truncated determinant.
+  Gamma(mu) X_mu / 12^g (the Kostka numbers cancel).
 
 ``q_coeff`` keeps the determinant itself as the paper's form of Q and as
 a test oracle; no production path evaluates it.
@@ -68,23 +66,6 @@ def _bareiss_det(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
         prev = a[k][k]
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
-
-
-def laplace_det(m):
-    """Cofactor-expansion determinant (cross-check path for small sizes)."""
-    n = len(m)
-    if n == 0:
-        return RAT_ONE
-    if n == 1:
-        return m[0][0]
-    total = RAT_ZERO
-    for j in range(n):
-        if not m[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        c = m[0][j] * laplace_det(minor)
-        total += c if j % 2 == 0 else -c
-    return total
 
 
 def _q_matrix(nu, mu, n):
@@ -306,72 +287,3 @@ def w_gn(g, n, dtable=None):
             gam *= gamma_half_ratio(5 - 2 * i, m_i)
         coeffs[mu] = gam * x * scale
     return Correlator(g, n, coeffs)
-
-
-def wn_det_truncated(n, g_max, dtable=None):
-    """All correlators of genus <= g_max from the determinant of the matrix
-
-        F_ij(nu) = sum_k GammaRatio_i(nu, k) / (k! 12^k) h_{L_i(nu)-(n-j)+3k}
-
-    split by homogeneous degree.  Each entry's k-sum is truncated exactly
-    where contributions stop reaching degree <= 3 g_max - 3 + n."""
-    if n < 3:
-        raise ValueError("correlator tables start at n = 3")
-    dtable, top = _tables(g_max, n, dtable)
-    acc = SymPoly.zero(n, MONOMIAL)
-    for r in range(top + 1):
-        block = dtable.get(r, n)
-        if not block:
-            continue
-        kcap = g_max - r
-        for nu, dv in block.items():
-            lnu = hook_numbers(nu, n)
-            rows = []
-            for i in range(1, n + 1):
-                li = lnu[i - 1]
-                row = []
-                for j in range(1, n + 1):
-                    entry = SymPoly.zero(n, MONOMIAL)
-                    for k in range(kcap + 1):
-                        deg = li - (n - j) + 3 * k
-                        if deg < 0:
-                            continue
-                        gam = gamma_half_ratio(5 - 2 * i, li - n + 3 * k + i)
-                        c = gam / (math.factorial(k) * Rat(12) ** k)
-                        entry = entry + SymPoly.complete_homogeneous(deg, n).scale(c)
-                    row.append(entry)
-                rows.append(row)
-            acc = acc + _poly_laplace_det(rows).scale(dv)
-    out = {}
-    comps = acc.homogeneous_components()
-    for g in range(g_max + 1):
-        piece = comps.get(degree_rn(g, n), SymPoly.zero(n, MONOMIAL))
-        out[g] = Correlator(g, n, piece.change_basis(SCHUR).terms)
-    return out
-
-
-def _poly_laplace_det(rows):
-    """Determinant of a matrix of SymPolys, expanding along rows with the
-    column-subset minors memoized."""
-    n = len(rows)
-    nvars = rows[0][0].n
-    memo = {}
-
-    def rec(cols):
-        if not cols:
-            return SymPoly.one(nvars)
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        i = n - len(cols)
-        total = SymPoly.zero(nvars, MONOMIAL)
-        for idx, j in enumerate(cols):
-            entry = rows[i][j]
-            if entry.is_zero():
-                continue
-            term = entry * rec(cols[:idx] + cols[idx + 1 :])
-            total = total + (term if idx % 2 == 0 else -term)
-        memo[cols] = total
-        return total
-
-    return rec(tuple(range(n)))

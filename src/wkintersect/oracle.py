@@ -3,12 +3,11 @@
 The Dijkgraaf-Verlinde-Verlinde (Virasoro) recursion pins every value
 from the two seeds <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; this module
 evaluates it with aggressive memoization and supplies the generating
-polynomials the coefficient tables are built from.  Closed forms in
-genus 0 and 1 and exact truncations of the classical one-, two- and
-three-point series give further independent anchors.  The series run on
-the integer LaurentPoly of :mod:`laurent` (exponents doubled), over one
-denominator per polynomial, and every product drops the terms above the
-genus it is asked for as it is formed.
+polynomials the coefficient tables are built from.  Exact truncations of
+the classical one-, two- and three-point series give further independent
+anchors.  The series run on the integer LaurentPoly of :mod:`laurent`
+(exponents doubled), over one denominator per polynomial, and every
+product drops the terms above the genus it is asked for as it is formed.
 
 The memo holds integers.  For d sorted in descending order it stores
 
@@ -50,20 +49,16 @@ reads (lam_1 <= 3n - 6), and ``a_gn_oracle`` is that class without a cap.
 import math
 from itertools import permutations
 
-from .rational import RAT_ONE, Rat, double_factorial_odd_int
+from .rational import Rat, double_factorial_odd_int
 from .partitions import enumerate_partitions, partition_class, ptrim
 from .laurent import LaurentPoly, exp_p3
-from .sympoly import ELEMENTARY, MONOMIAL, SymPoly
+from .sympoly import MONOMIAL, SymPoly
 
 _MEMO = {}
 
 
 def clear_memo():
     _MEMO.clear()
-
-
-def _dfo(k):
-    return double_factorial_odd_int(k)
 
 
 def dim_target(g, n):
@@ -99,7 +94,7 @@ def _scale(g, d):
     s = 1 << (4 * g - 2 + len(d))
     for x in d:
         if x:
-            s *= _dfo(2 * x + 1)
+            s *= double_factorial_odd_int(2 * x + 1)
     return s
 
 
@@ -225,23 +220,6 @@ def a_gn_oracle(g, n):
     )
 
 
-def closed_a0n(n):
-    """Genus 0 closed form e_1^(n-3)."""
-    if n < 3:
-        raise ValueError("closed genus-0 form needs n >= 3")
-    return SymPoly(n, ELEMENTARY, {(1,) * (n - 3): RAT_ONE})
-
-
-def closed_a1n(n):
-    """Genus 1 closed form (e_1^n - sum_k (k-2)! e_k e_1^(n-k)) / 24."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    terms = {(1,) * n: Rat(1, 24)}
-    for k in range(2, n + 1):
-        terms[ptrim((k,) + (1,) * (n - k))] = Rat(-math.factorial(k - 2), 24)
-    return SymPoly(n, ELEMENTARY, terms)
-
-
 # ---------------------------------------------------------------------------
 # Reference series for n = 1, 2, 3
 # ---------------------------------------------------------------------------
@@ -278,13 +256,13 @@ def series_two_point(g_max):
     cap = 6 * g_max
     e1 = LaurentPoly(n, {(2, 0): 1, (0, 2): 1})
     e1e2 = LaurentPoly(n, {(4, 2): 1, (2, 4): 1})
-    den = _dfo(2 * g_max + 1) << g_max
+    den = double_factorial_odd_int(2 * g_max + 1) << g_max
     # each (e_1 e_2)^k is homogeneous of doubled degree 6k, so no key repeats
     terms = {(0, 0): den}
     term = LaurentPoly.constant(n, 1)
     for k in range(1, g_max + 1):
         term = term.mul(e1e2, cap)
-        w = den // (_dfo(2 * k + 1) << k)
+        w = den // (double_factorial_odd_int(2 * k + 1) << k)
         terms.update((key, w * c) for key, c in term.terms.items())
     pieces = _genus_pieces(LaurentPoly(n, terms, den), g_max)
     return {g: SymPoly.from_exponent_poly(pieces[g].divide_exact(e1)) for g in range(1, g_max + 1)}
@@ -314,7 +292,10 @@ def series_three_point(g_max):
     cap = 6 * g_max
     delta = LaurentPoly(n, {(2, 2, 2): 2, **{k: 1 for k in permutations((4, 2, 0))}})
     weights = {
-        (r, s): Rat(math.factorial(r), (2 << r) * _dfo(2 * r + 1) * (4**s) * math.factorial(r + s + 1))
+        (r, s): Rat(
+            math.factorial(r),
+            (2 << r) * double_factorial_odd_int(2 * r + 1) * (4**s) * math.factorial(r + s + 1),
+        )
         for r in range(g_max + 1)
         for s in range(g_max + 1 - r)
     }

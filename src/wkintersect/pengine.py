@@ -53,7 +53,7 @@ serialize to identical bytes).
 import math
 from itertools import islice
 
-from .rational import RAT_ONE, RAT_ZERO, Rat, rat_from_str
+from .rational import Rat, rat_from_str
 from .partitions import (
     enumerate_partitions,
     format_partition,
@@ -229,72 +229,6 @@ def direct_p(n, extra_truncation=0):
             raise AssertionError("off-lattice degree %d in direct route output" % d)
         terms[mu] = Rat(c * num, den)
     return SymPoly._make(n, SCHUR, terms)
-
-
-# ---------------------------------------------------------------------------
-# Trace-over-cyclic-permutations shift invariance
-# ---------------------------------------------------------------------------
-
-
-def _mat_mul(a, b):
-    return (
-        (
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ),
-        (
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ),
-    )
-
-
-def _cyclic_sum(matrices, xs):
-    n = len(matrices)
-    from itertools import permutations
-
-    total = RAT_ZERO
-    for tail in permutations(range(1, n)):
-        # the cyclic permutation sending 0 -> tail[0] -> ... -> tail[-1] -> 0
-        sigma = {}
-        chain = (0,) + tail
-        for a, b in zip(chain, chain[1:] + (0,)):
-            sigma[a] = b
-        prod = matrices[0]
-        k = sigma[0]
-        order = [0]
-        while k != 0:
-            order.append(k)
-            prod = _mat_mul(prod, matrices[k])
-            k = sigma[k]
-        tr = prod[0][0] + prod[1][1]
-        den = RAT_ONE
-        for i in range(n):
-            den = den * (xs[i] - xs[sigma[i]])
-        total += tr / den
-    return total
-
-
-def trace_shift_invariance(matrices, xs, shifts):
-    """Whether the cyclic-permutation trace sum is unchanged when each
-    matrix M_i is shifted by alpha_i * Id.  (It always is; this evaluates
-    both sides exactly and reports equality.)"""
-    n = len(matrices)
-    if not (len(xs) == len(shifts) == n) or n < 3:
-        raise ValueError("need n >= 3 matrices, points and shifts")
-    if len(set(xs)) != n:
-        raise ValueError("evaluation points must be pairwise distinct")
-    mats = tuple(
-        tuple(tuple(Rat(x) for x in row) for row in m) for m in matrices
-    )
-    xs = tuple(Rat(x) for x in xs)
-    before = _cyclic_sum(mats, xs)
-    shifted = []
-    for m, al in zip(mats, shifts):
-        al = Rat(al)
-        shifted.append(((m[0][0] + al, m[0][1]), (m[1][0], m[1][1] + al)))
-    after = _cyclic_sum(tuple(shifted), xs)
-    return before == after
 
 
 # ---------------------------------------------------------------------------

@@ -453,9 +453,6 @@ class SymPoly:
             out.setdefault(sum(k), {})[k] = v
         return {d: SymPoly(self.n, self.basis, t) for d, t in sorted(out.items())}
 
-    def degree(self):
-        return max((sum(k) for k in self.terms), default=0)
-
     # -- expansions ------------------------------------------------------
 
     def to_exponent_poly(self):

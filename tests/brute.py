@@ -9,6 +9,14 @@ unpruned bootstrap) are assembled from the library's whole Kostka columns,
 and the bialternant and the differential H run on the library's Laurent
 polynomials (the one polynomial type of :mod:`wkintersect.laurent`, which
 the production paths do not use).
+
+The paper's alternative forms that no production path evaluates live
+here too: the scalar cofactor determinant ``laplace_det``, the trace-shift
+lemma ``trace_shift_invariance`` (plain ``Rat`` 2x2 matrices), the genus-0
+and genus-1 closed forms ``closed_a0n``/``closed_a1n`` (``SymPoly`` in the
+elementary basis), and the all-genus determinant ``wn_det_truncated``,
+which reads the ``DTable`` blocks and expands its determinant by ``SymPoly``
+products (``_sym_laplace_det``) before returning ``Correlator`` tables.
 """
 
 import math
@@ -17,10 +25,13 @@ from fractions import Fraction
 from itertools import permutations
 
 from wkintersect import laurent
-from wkintersect.rational import RAT_ZERO, Rat
+from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat, gamma_half_ratio
 from wkintersect.partitions import hook_numbers, partition_class, ptrim
 from wkintersect.hop import _dden, _gnum, barnes_constant
+from wkintersect.intersect import Correlator
+from wkintersect.pengine import DTable, degree_rn, r_max
 from wkintersect.sympoly import (
+    ELEMENTARY,
     SymPoly,
     MONOMIAL,
     SCHUR,
@@ -206,23 +217,122 @@ def jacobi_trudi_schur(lam, n):
 
 
 def _sym_laplace_det(rows):
+    """Determinant of a matrix of SymPolys, expanding along rows with the
+    column-subset minors memoized."""
     n = len(rows)
     nvars = rows[0][0].n
+    memo = {}
 
-    def rec(rs, cols):
+    def rec(cols):
         if not cols:
             return SymPoly.one(nvars)
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        i = n - len(cols)
         total = SymPoly.zero(nvars, MONOMIAL)
-        i = rs[0]
         for idx, j in enumerate(cols):
             entry = rows[i][j]
             if entry.is_zero():
                 continue
-            term = entry * rec(rs[1:], cols[:idx] + cols[idx + 1 :])
+            term = entry * rec(cols[:idx] + cols[idx + 1 :])
             total = total + (term if idx % 2 == 0 else -term)
+        memo[cols] = total
         return total
 
-    return rec(tuple(range(n)), tuple(range(n)))
+    return rec(tuple(range(n)))
+
+
+def laplace_det(m):
+    """Cofactor-expansion determinant of a matrix of Rats."""
+    n = len(m)
+    if n == 0:
+        return RAT_ONE
+    if n == 1:
+        return m[0][0]
+    total = RAT_ZERO
+    for j in range(n):
+        if not m[0][j]:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        c = m[0][j] * laplace_det(minor)
+        total += c if j % 2 == 0 else -c
+    return total
+
+
+def _mat_mul(a, b):
+    return (
+        (
+            a[0][0] * b[0][0] + a[0][1] * b[1][0],
+            a[0][0] * b[0][1] + a[0][1] * b[1][1],
+        ),
+        (
+            a[1][0] * b[0][0] + a[1][1] * b[1][0],
+            a[1][0] * b[0][1] + a[1][1] * b[1][1],
+        ),
+    )
+
+
+def _cyclic_sum(matrices, xs):
+    n = len(matrices)
+    total = RAT_ZERO
+    for tail in permutations(range(1, n)):
+        # the cyclic permutation sending 0 -> tail[0] -> ... -> tail[-1] -> 0
+        sigma = {}
+        chain = (0,) + tail
+        for a, b in zip(chain, chain[1:] + (0,)):
+            sigma[a] = b
+        prod = matrices[0]
+        k = sigma[0]
+        while k != 0:
+            prod = _mat_mul(prod, matrices[k])
+            k = sigma[k]
+        tr = prod[0][0] + prod[1][1]
+        den = RAT_ONE
+        for i in range(n):
+            den = den * (xs[i] - xs[sigma[i]])
+        total += tr / den
+    return total
+
+
+def trace_shift_invariance(matrices, xs, shifts):
+    """Whether the cyclic-permutation trace sum
+    sum_sigma Tr(M_0 M_sigma(0) ...) / prod_i (x_i - x_sigma(i)) is unchanged
+    when each matrix M_i is shifted by alpha_i * Id.  (It always is; this
+    evaluates both sides exactly and reports equality.)"""
+    n = len(matrices)
+    if not (len(xs) == len(shifts) == n) or n < 3:
+        raise ValueError("need n >= 3 matrices, points and shifts")
+    if len(set(xs)) != n:
+        raise ValueError("evaluation points must be pairwise distinct")
+    mats = tuple(
+        tuple(tuple(Rat(x) for x in row) for row in m) for m in matrices
+    )
+    xs = tuple(Rat(x) for x in xs)
+    before = _cyclic_sum(mats, xs)
+    shifted = []
+    for m, al in zip(mats, shifts):
+        al = Rat(al)
+        shifted.append(((m[0][0] + al, m[0][1]), (m[1][0], m[1][1] + al)))
+    after = _cyclic_sum(tuple(shifted), xs)
+    return before == after
+
+
+def closed_a0n(n):
+    """Genus 0 closed form e_1^(n-3)."""
+    if n < 3:
+        raise ValueError("closed genus-0 form needs n >= 3")
+    return SymPoly(n, ELEMENTARY, {(1,) * (n - 3): RAT_ONE})
+
+
+def closed_a1n(n):
+    """Genus 1 closed form (e_1^n - sum_k (k-2)! e_k e_1^(n-k)) / 24."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    terms = {(1,) * n: Rat(1, 24)}
+    for k in range(2, n + 1):
+        terms[ptrim((k,) + (1,) * (n - k))] = Rat(-math.factorial(k - 2), 24)
+    return SymPoly(n, ELEMENTARY, terms)
 
 
 def dvv_fraction(g, d, memo=None):
@@ -437,3 +547,46 @@ def bootstrap_unpruned(r_top, n, a_provider):
             if r < r_top:
                 term = _ribbons(term, n)
     return {r: {mu: v for mu, v in p.items() if v} for r, p in acc.items()}
+
+
+def wn_det_truncated(n, g_max, dtable=None):
+    """All correlators of genus <= g_max from the determinant of the matrix
+
+        F_ij(nu) = sum_k GammaRatio_i(nu, k) / (k! 12^k) h_{L_i(nu)-(n-j)+3k}
+
+    split by homogeneous degree, as {g: Correlator}.  Each entry's k-sum is
+    truncated exactly where contributions stop reaching degree
+    <= 3 g_max - 3 + n."""
+    if n < 3:
+        raise ValueError("correlator tables start at n = 3")
+    if dtable is None:
+        dtable = DTable()
+    top = min(g_max, r_max(n))
+    dtable.ensure_upto(top, n)
+    acc = SymPoly.zero(n, MONOMIAL)
+    for r in range(top + 1):
+        kcap = g_max - r
+        for nu, dv in dtable.get(r, n).items():
+            lnu = hook_numbers(nu, n)
+            rows = []
+            for i in range(1, n + 1):
+                li = lnu[i - 1]
+                row = []
+                for j in range(1, n + 1):
+                    entry = SymPoly.zero(n, MONOMIAL)
+                    for k in range(kcap + 1):
+                        deg = li - (n - j) + 3 * k
+                        if deg < 0:
+                            continue
+                        gam = gamma_half_ratio(5 - 2 * i, li - n + 3 * k + i)
+                        c = gam / (math.factorial(k) * Rat(12) ** k)
+                        entry = entry + SymPoly.complete_homogeneous(deg, n).scale(c)
+                    row.append(entry)
+                rows.append(row)
+            acc = acc + _sym_laplace_det(rows).scale(dv)
+    out = {}
+    comps = acc.homogeneous_components()
+    for g in range(g_max + 1):
+        piece = comps.get(degree_rn(g, n), SymPoly.zero(n, MONOMIAL))
+        out[g] = Correlator(g, n, piece.change_basis(SCHUR).terms)
+    return out

@@ -11,23 +11,18 @@ import math
 
 import pytest
 
-from brute import h_raw, inverse_kostka_row
+from brute import h_raw, inverse_kostka_row, trace_shift_invariance, wn_det_truncated
 from golden_tables import TABLE_COUNTS, TABLE_E6, TABLE_ELEMENTARY, TABLE_SCHUR
 from wkintersect import cli, oracle
 from wkintersect.rational import Rat, rat_from_str
 from wkintersect.hop import HContext
-from wkintersect.intersect import q_coeff, tau, a_gn, w_gn, wn_det_truncated
+from wkintersect.intersect import q_coeff, tau, a_gn, w_gn
 from wkintersect.partitions import (
     enumerate_partitions,
     parse_partition,
     partition_class,
 )
-from wkintersect.pengine import (
-    degree_rn,
-    direct_p,
-    r_max,
-    trace_shift_invariance,
-)
+from wkintersect.pengine import degree_rn, direct_p, r_max
 from wkintersect.sympoly import (
     ELEMENTARY,
     MONOMIAL,

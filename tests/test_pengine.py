@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from brute import bootstrap_unpruned
+from brute import bootstrap_unpruned, trace_shift_invariance
 from golden_tables import TABLE_E6, TABLE_SCHUR
 from wkintersect.rational import Rat, rat_from_str
 from wkintersect import intersect, laurent, oracle, pengine
@@ -18,7 +18,6 @@ from wkintersect.pengine import (
     degree_rn,
     direct_p,
     r_max,
-    trace_shift_invariance,
 )
 from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly, power_sum_times_schur
 
