@@ -11,12 +11,13 @@ All output is deterministic for a fixed configuration and cache state
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
 
 from . import intersect, oracle, sympoly
-from .partitions import enumerate_partitions, format_partition, partition_class
+from .partitions import format_partition, partition_class
 from .pengine import DTable, degree_rn, r_max
 
 EXIT_OK = 0
@@ -186,13 +187,17 @@ def elo_rows(n, r_top, table):
 
 
 def _count_exact_length(n, r):
-    cap = degree_rn(r, n)
-    count = 0
-    for w in range(0, cap + 1):
-        for nu in enumerate_partitions(w, r, min_part=2, max_part=n):
-            if len(nu) == r:
-                count += 1
-    return count
+    """The partitions of exactly r parts in [2, n] and weight at most
+    3r - 3 + n, counted by a recursion over (parts left, weight left,
+    largest part) instead of enumerated."""
+
+    @functools.cache
+    def count(k, w, top):
+        if k == 0:
+            return 1 if w >= 0 else 0
+        return sum(count(k - 1, w - p, p) for p in range(2, min(top, w) + 1))
+
+    return count(r, degree_rn(r, n), n)
 
 
 def cmd_elo(args, out):

@@ -18,11 +18,15 @@ forward direction it is an integer map (``h_integers``): the input is
 gives z_mu = [s_mu] of it, and z_mu L / gnum(mu), with L the lcm of the
 gnum read, is H(A) over the single denominator L times that scale.  The
 recursion oracle's integers T(g, lam) already have that form, and
-``HContext.apply`` puts any SymPoly into it.  gnum and dden are
-recomputed for each shape a call reads; this module keeps nothing between
-calls.  The differential realization
-(Vandermonde of derivatives acting on sqrt(e_n) times the input) is a test
-oracle and lives with the tests.
+``HContext.apply`` puts any SymPoly into it.  The inverse is its mirror
+(``h_inverse_integers``): Schur coefficients y_mu over one scale, scaled
+by gnum(mu) and eliminated into the monomial basis in integers, give
+dden(lam) [m_lam] H^{-1} over that scale.  ``a_gn`` feeds it the integer
+upward image X_{g,n}, and ``HContext.apply_inverse`` is the same map
+wrapped for a SymPoly.  gnum and dden are recomputed for each shape a
+call reads; this module keeps nothing between calls.  The differential
+realization (Vandermonde of derivatives acting on sqrt(e_n) times the
+input) is a test oracle and lives with the tests.
 """
 
 import math
@@ -81,6 +85,14 @@ def h_integers(padded, n, width=None):
     return lcm, {mu: c * (lcm // gnum[mu]) for mu, c in z.items()}
 
 
+def h_inverse_integers(y, n):
+    """The integer H^{-1}, the mirror of :func:`h_integers`.  For
+    y = {mu: c} with c / scale = [s_mu] B, returns {lam: c} != 0 with
+    [m_lam] H^{-1}(B) = c / (dden(lam) scale): the Schur to monomial
+    elimination of gnum(mu) y_mu."""
+    return sympoly.monomial_integers({mu: c * _gnum(mu) for mu, c in y.items()}, n)
+
+
 class HContext:
     """Applies the operator and its inverse for a fixed variable count."""
 
@@ -103,11 +115,12 @@ class HContext:
         return SymPoly._make(n, SCHUR, {mu: Rat(c, den) for mu, c in y.items()})
 
     def apply_inverse(self, poly):
-        """H^{-1}(poly), returned in the monomial basis: the mirror of
-        :meth:`apply`."""
+        """H^{-1}(poly), returned in the monomial basis: the integer
+        H^{-1} of :func:`h_inverse_integers` on the Schur coefficients
+        over one scale, divided once per coefficient."""
         if poly.n != self.n:
             raise ValueError("variable count mismatch")
-        y = poly.change_basis(SCHUR).terms
-        z = SymPoly._make(self.n, SCHUR, {mu: c * _gnum(mu) for mu, c in y.items()})
-        b = z.change_basis(MONOMIAL).terms
-        return SymPoly._make(self.n, MONOMIAL, {lam: v / _dden(lam) for lam, v in b.items()})
+        scale, items = sympoly._integer_terms(poly.change_basis(SCHUR).terms)
+        b = h_inverse_integers(dict(items), self.n)
+        terms = {lam: Rat(c, scale * _dden(lam)) for lam, c in b.items()}
+        return SymPoly._make(self.n, MONOMIAL, terms)

@@ -19,9 +19,12 @@ Since Q_{nu,mu} = <p_3^k s_nu, s_mu> / k!, every Q sum is a chain of
   and integers, from the bead-keyed column to the table's bead view of
   each block;
 * ``a_gn`` and ``w_gn`` read one upward image
-  X_{g,n} = sum_r 12^r / (g-r)! p_3^(g-r) P_{r,n}: the generating
-  polynomial is H^{-1}(X) / 24^g, the correlator coefficients are
-  Gamma(mu) X_mu / 12^g (the Kostka numbers cancel).
+  X_{g,n} = sum_r 12^r / (g-r)! p_3^(g-r) P_{r,n}, run by Horner's rule
+  in p_3 on the table's bead views in integers over one denominator: the
+  generating polynomial is H^{-1}(X) / 24^g through the integer H^{-1}
+  (``hop.h_inverse_integers``), the correlator coefficients are
+  Gamma(mu) X_mu / 12^g = gnum(mu) X_mu / (2^|mu| 12^g) (the Kostka
+  numbers cancel), and one ``Rat`` is built per emitted coefficient.
 
 ``q_coeff`` keeps the determinant itself as the paper's form of Q and as
 a test oracle; no production path evaluates it.
@@ -29,18 +32,20 @@ a test oracle; no production path evaluates it.
 
 import math
 
-from .rational import RAT_ONE, RAT_ZERO, Rat, double_factorial_odd_int, gamma_half_ratio
+from .rational import RAT_ONE, RAT_ZERO, Rat
 from .partitions import format_partition, hook_numbers, ptrim
-from .hop import HContext, _dden
+from .hop import _dden, _gnum, h_inverse_integers
 from . import oracle as oracle_mod
 from .pengine import DTable, degree_rn, r_max
 from .sympoly import (
     MONOMIAL,
-    SCHUR,
     SymPoly,
+    _integer_terms,
     kostka_column,
-    power_sum_times_schur,
+    monomial_integers,
+    raise_ribbons,
     runner_counts,
+    shape_of_beads,
 )
 
 
@@ -198,29 +203,37 @@ def tau(g, d, dtable=None):
     return total / (_dden(lam) * 24 ** g * math.prod(phi[:n]))
 
 
-def _schur_image(g, n, dtable, top):
-    """X_{g,n} = sum_{r<=top} 12^r / (g-r)! p_3^(g-r) P_{r,n} in the Schur
-    basis, by Horner's rule in p_3 (g ribbon steps in all)."""
-    x = SymPoly.zero(n, SCHUR)
-    for r in range(top + 1):
+def _upward_image(g, n, dtable):
+    """X_{g,n} = sum_{r<=top} 12^r / (g-r)! p_3^(g-r) P_{r,n} in integers:
+    (den, {mu: den X_mu}) in the Schur basis with den the lcm of the
+    (g-r)! den_r.  Horner's rule in p_3 runs on the table's bead views
+    (g ribbon steps in all)."""
+    dtable, top = _tables(g, n, dtable)
+    views = [dtable.beads(r, n)[:2] for r in range(top + 1)]
+    den = math.lcm(*(math.factorial(g - r) * d for r, (d, _) in enumerate(views)))
+    x = {}
+    for r, (d, block) in enumerate(views):
         if r:
-            x = power_sum_times_schur(x, 3)
-        x = x + dtable.p_rn(r, n).scale(Rat(12 ** r, math.factorial(g - r)))
+            x = raise_ribbons(x, 3)
+        w = 12 ** r * (den // (math.factorial(g - r) * d))
+        for beta, c in block.items():
+            x[beta] = x.get(beta, 0) + w * c
     for _ in range(g - top):
-        x = power_sum_times_schur(x, 3)
-    return x
+        x = raise_ribbons(x, 3)
+    return den, {shape_of_beads(beta): c for beta, c in x.items() if c}
 
 
 def a_gn(g, n, basis=MONOMIAL, dtable=None):
     """Generating polynomial A_{g,n} through the coefficient tables:
     24^g A_{g,n} = H^{-1}(X_{g,n}) with X_{g,n} = sum_r 12^r / (g-r)!
-    p_3^(g-r) P_{r,n}."""
+    p_3^(g-r) P_{r,n}, in integers until one ``Rat`` per coefficient."""
     oracle_mod.require_stable(g, n)
     if n <= 2:
         return oracle_mod.a_gn_oracle(g, n).change_basis(basis)
-    dtable, top = _tables(g, n, dtable)
-    x = _schur_image(g, n, dtable, top)
-    return HContext(n).apply_inverse(x).scale(Rat(1, 24 ** g)).change_basis(basis)
+    den, x = _upward_image(g, n, dtable)
+    den *= 24 ** g
+    terms = {lam: Rat(c, den * _dden(lam)) for lam, c in h_inverse_integers(x, n).items()}
+    return SymPoly._make(n, MONOMIAL, terms).change_basis(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +254,21 @@ class Correlator:
     def __init__(self, g, n, coeffs):
         self.g = g
         self.n = n
-        self.coeffs = {ptrim(k): Rat(v) for k, v in coeffs.items() if Rat(v)}
+        self.coeffs = {}
+        for k, v in coeffs.items():
+            v = Rat(v)
+            if v:
+                self.coeffs[ptrim(k)] = v
 
     def intersection_numbers(self):
         """Recover the plain tau coefficients from the Schur packaging:
         expanding s_mu(1/x) monomially and matching the defining form gives
-        tau(lam) = [m_lam] * 2^(2g+n-3) / prod (2 lam_i + 1)!!."""
-        spoly = SymPoly(self.n, SCHUR, self.coeffs).change_basis(MONOMIAL)
-        out = {}
-        scale = Rat(1 << (2 * self.g + self.n - 3))
-        for lam, c in spoly.terms.items():
-            dd = 1
-            for x in lam:
-                dd *= double_factorial_odd_int(2 * x + 1)
-            out[lam] = c * scale / dd
-        return out
+        tau(lam) = [m_lam] * 2^(2g+n-3) / prod (2 lam_i + 1)!!, with the
+        Schur to monomial elimination in integers over one denominator."""
+        den, items = _integer_terms(self.coeffs)
+        shift = 2 * self.g + self.n - 3
+        m = monomial_integers(dict(items), self.n)
+        return {lam: Rat(c << shift, den * _dden(lam)) for lam, c in m.items()}
 
     def text(self):
         lines = ["W g=%d n=%d" % (self.g, self.n)]
@@ -273,17 +286,12 @@ class Correlator:
 
 def w_gn(g, n, dtable=None):
     """Correlator coefficients straight from the tables: the Kostka numbers
-    cancel, leaving c_mu = GammaRatio(mu) X_mu / 12^g with X = X_{g,n} the
-    Schur image that also gives :func:`a_gn`."""
+    cancel, leaving c_mu = Gamma(mu) X_mu / 12^g with X = X_{g,n} the
+    upward image that also gives :func:`a_gn` and
+    Gamma(mu) = gnum(mu) / 2^|mu|."""
     if n < 3:
         raise ValueError("correlator tables start at n = 3")
     oracle_mod.require_stable(g, n)
-    dtable, top = _tables(g, n, dtable)
-    scale = Rat(1, 12 ** g)
-    coeffs = {}
-    for mu, x in _schur_image(g, n, dtable, top).terms.items():
-        gam = RAT_ONE
-        for i, m_i in enumerate(mu + (0,) * (n - len(mu)), start=1):
-            gam *= gamma_half_ratio(5 - 2 * i, m_i)
-        coeffs[mu] = gam * x * scale
-    return Correlator(g, n, coeffs)
+    den, x = _upward_image(g, n, dtable)
+    den = (den * 12 ** g) << degree_rn(g, n)  # 2^|mu|, one weight for all mu
+    return Correlator(g, n, {mu: Rat(_gnum(mu) * c, den) for mu, c in x.items()})

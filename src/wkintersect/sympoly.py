@@ -13,10 +13,12 @@ s_mu coefficient of f is the coefficient of x^(mu+delta) in a_delta * f
 (Macdonald, *Symmetric Functions*, I.3).  One kernel reads that
 coefficient for one shape, as a signed sum over the permutations w with
 mu + delta - w(delta) >= 0.  Monomial to Schur calls it once per
-requested shape; Schur to monomial is the unitriangular elimination that
-calls it once per shape on the monomial part found so far, and each
-inverse Kostka number is one call on a single monomial.  The kernel runs
-on integers and keys the monomial coefficients by a multiset code,
+requested shape (``schur_integers``); Schur to monomial is the
+unitriangular elimination that calls it once per shape on the monomial
+part found so far (``monomial_integers``), and each inverse Kostka number
+is one call on a single monomial.  Both directions run on integers, and
+the SymPoly base changes wrap them over one common denominator.  The
+kernel keys the monomial coefficients by a multiset code,
 sum_a 1 << (bits * a) over the entries a of the padded partition with
 bits = n.bit_length(): every field holds a multiplicity up to n, so a
 rearrangement of the exponents has the same code, and the walk over
@@ -318,6 +320,22 @@ def schur_integers(padded, n, width=None):
     return out
 
 
+def monomial_integers(schur, n):
+    """{lam: [m_lam] f} != 0 for an integer f = {mu: [s_mu] f}, the mirror
+    of :func:`schur_integers`: [s_lam] f = sum_{nu >= lam} S_{nu,lam}
+    [m_nu] f with S_{lam,lam} = 1, so walking each degree in reverse-lex
+    order gives [m_lam] f = [s_lam] f - [s_lam](monomial part found so
+    far), one alternant read per shape.  Keys are trimmed partitions."""
+    out = {}
+    found = {}
+    for lam in _shapes_to_read(schur, n):
+        c = schur.get(lam, 0) - _alternant_coefficient(found, lam, n)
+        if c:
+            found[_multiset_code(lam + (0,) * (n - len(lam)), n)] = c
+            out[lam] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # SymPoly
 # ---------------------------------------------------------------------------
@@ -533,25 +551,11 @@ class SymPoly:
         return self.change_basis(SCHUR).change_basis(target)
 
     def _schur_to_monomial(self):
-        """Unitriangular elimination through the alternant read of
-        :meth:`_monomial_to_schur`.
-
-        [s_lam] f = sum_{nu >= lam} S_{nu,lam} [m_nu] f with S_{lam,lam} = 1,
-        so walking each degree in reverse-lex order gives
-        [m_lam] f = [s_lam] f - [s_lam](monomial part found so far), one
-        alternant read per shape, in integers over one common denominator.
-        """
-        n = self.n
+        """The elimination of :func:`monomial_integers`, in integers over
+        one common denominator."""
         den, items = _integer_terms(self.terms)
-        schur = dict(items)
-        out = {}
-        found = {}
-        for lam in _shapes_to_read(schur, n):
-            c = schur.get(lam, 0) - _alternant_coefficient(found, lam, n)
-            if c:
-                found[_multiset_code(lam + (0,) * (n - len(lam)), n)] = c
-                out[lam] = Rat(c, den)
-        return SymPoly._make(n, MONOMIAL, out)
+        m = monomial_integers(dict(items), self.n)
+        return SymPoly._make(self.n, MONOMIAL, {lam: Rat(c, den) for lam, c in m.items()})
 
     def _monomial_to_schur(self):
         """Schur coefficients read off the alternant, one shape at a time:

@@ -26,7 +26,7 @@ from itertools import permutations
 
 from wkintersect import laurent
 from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat, gamma_half_ratio
-from wkintersect.partitions import hook_numbers, partition_class, ptrim
+from wkintersect.partitions import enumerate_partitions, hook_numbers, partition_class, ptrim
 from wkintersect.hop import _dden, _gnum, barnes_constant
 from wkintersect.intersect import Correlator
 from wkintersect.pengine import DTable, degree_rn, r_max
@@ -590,3 +590,14 @@ def wn_det_truncated(n, g_max, dtable=None):
         piece = comps.get(degree_rn(g, n), SymPoly.zero(n, MONOMIAL))
         out[g] = Correlator(g, n, piece.change_basis(SCHUR).terms)
     return out
+
+
+def count_exact_length(n, r):
+    """The partitions of exactly r parts in [2, n] and weight at most
+    3r - 3 + n, by enumerating every weight and keeping length r."""
+    count = 0
+    for w in range(degree_rn(r, n) + 1):
+        for nu in enumerate_partitions(w, r, min_part=2, max_part=n):
+            if len(nu) == r:
+                count += 1
+    return count

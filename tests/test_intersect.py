@@ -250,6 +250,20 @@ def test_a_gn_monomial_coefficients_are_intersection_numbers(dtable):
             assert c == oracle.virasoro_tau(g, lam + (0,) * (n - len(lam)))
 
 
+def test_a_gn_and_w_gn_equal_the_recursion_class_by_class():
+    # the index range of the benchmark's queries, on its table: every
+    # coefficient of each class against the recursion, and the correlator
+    # read back into intersection numbers
+    table = DTable.load(BENCH_TABLE)
+    for n in range(3, 7):
+        for g in range(5):
+            if 2 * g - 2 + n <= 0:
+                continue
+            poly = a_gn(g, n, MONOMIAL, table)
+            assert poly == oracle.a_gn_oracle(g, n), (g, n)
+            assert w_gn(g, n, table).intersection_numbers() == poly.terms, (g, n)
+
+
 def test_string_equation(dtable):
     for n in (2, 3, 4):
         for g in range(0, 3):

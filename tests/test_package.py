@@ -1,4 +1,7 @@
+import glob
 import importlib
+import json
+import math
 import os
 import runpy
 
@@ -26,3 +29,28 @@ def test_benchmark_boundaries_resolve():
         if not callable(getattr(owner, attr, None)):
             missing.append(span)
     assert missing == []
+
+
+def _reject_constant(name):
+    raise ValueError("not strict JSON: %s" % name)
+
+
+def test_committed_bench_files_are_well_formed():
+    # each committed BENCH_*.json trajectory file: strict JSON (no NaN or
+    # Infinity), and every metric carries its medians, wins and spread, the
+    # ratio rounded to 3 decimals from medians stored to 6
+    root = os.path.join(os.path.dirname(__file__), "..")
+    paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+    assert paths
+    keys = {"unit", "parent_median", "change_median", "ratio", "change_wins", "parent_iqr"}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, parse_constant=_reject_constant)
+        assert {"what", "parent", "machine", "workloads"} <= data.keys(), path
+        assert data["workloads"], path
+        for workload, body in data["workloads"].items():
+            assert body["metrics"], (path, workload)
+            for metric, m in body["metrics"].items():
+                where = (os.path.basename(path), workload, metric)
+                assert keys <= m.keys(), where
+                assert math.isclose(m["ratio"], m["change_median"] / m["parent_median"], abs_tol=6e-4), where

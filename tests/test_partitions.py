@@ -3,6 +3,9 @@ from itertools import product
 
 import pytest
 
+from brute import count_exact_length
+from wkintersect.cli import _count_exact_length
+from wkintersect.pengine import r_max
 from wkintersect.partitions import (
     dominates,
     enumerate_partitions,
@@ -128,3 +131,11 @@ def test_ptrim_validation():
         ptrim((1, 2))
     with pytest.raises(ValueError):
         ptrim((1, -1))
+
+
+def test_exact_length_count_matches_enumeration():
+    # the `wk elo` "allowed" column: counted by recursion, checked against
+    # the enumeration of every weight
+    for n in range(1, 8):
+        for r in range(r_max(n) + 1):
+            assert _count_exact_length(n, r) == count_exact_length(n, r), (n, r)
