@@ -267,6 +267,8 @@ class DTable:
             v = Rat(v)
             if sum(k) != want:
                 raise ValueError("coefficient at weight %d in block (r=%d, n=%d)" % (sum(k), r, n))
+            if len(k) > n:
+                raise ValueError("partition %s has more than %d rows" % (format_partition(k), n))
             if v:
                 clean[k] = v
         self.blocks[(r, n)] = clean
@@ -326,11 +328,12 @@ class DTable:
 
     @classmethod
     def loads(cls, data):
-        """Parse the file form.  A block header ``n=N r=R terms=T`` must be
-        followed by exactly T coefficient lines and the data must end in a
-        newline, so a truncated file is rejected instead of loading as a
-        smaller block.  Headers without a term count still load.  A
-        repeated (n, r) header, a partition repeated within a block, a
+        """Parse the file form.  A block header is exactly ``n=N r=R
+        terms=T``; it must be followed by exactly T coefficient lines and
+        the data must end in a newline, so a truncated file is rejected
+        instead of loading as a smaller block.  Headers without a term
+        count still load.  Any other header, a repeated (n, r) header, a
+        partition repeated within a block or with more than n rows, a
         coefficient line before the first header and a zero denominator are
         rejected too."""
         lines = data.splitlines()
@@ -357,12 +360,17 @@ class DTable:
                 continue
             if line.startswith("n="):
                 flush()
-                ntok, rtok, *ttok = line.split()
-                cur = (int(rtok[2:]), int(ntok[2:]))
+                toks = [t.partition("=") for t in line.split()]
+                if [k for k, _, _ in toks] not in (["n", "r"], ["n", "r", "terms"]) or not all(
+                    v.isdigit() for _, _, v in toks
+                ):
+                    raise ValueError("line %d: malformed block header %r" % (lineno, line))
+                n, r, *count = (int(v) for _, _, v in toks)
+                cur = (r, n)
                 if cur in table.blocks:
                     raise ValueError("line %d repeats block (r=%d, n=%d)" % ((lineno,) + cur))
-                want = int(ttok[0].removeprefix("terms=")) if ttok else None
-                table.counted = table.counted and bool(ttok)
+                want = count[0] if count else None
+                table.counted = table.counted and bool(count)
                 coeffs = {}
             else:
                 if cur is None:

@@ -23,11 +23,14 @@ sum_a 1 << (bits * a) over the entries a of the padded partition with
 bits = n.bit_length(): every field holds a multiplicity up to n, so a
 rearrangement of the exponents has the same code, and the walk over
 permutations adds one field per position instead of sorting at every
-leaf.  The elementary basis goes through the transposed-shape Kostka
-numbers, grown by vertical strips.
-Kostka columns themselves are grown by horizontal strips on beta
-numbers and keyed by them; they serve the questions that really are
-Kostka columns, above all the formula's ``tau``.
+leaf.  Kostka columns are grown by horizontal strips on beta numbers and
+keyed by them; they serve the questions that really are Kostka columns,
+above all the formula's ``tau``.  The elementary basis goes through the
+dual columns K_{mu^T, lam}, grown the same way by vertical strips: e to
+s sums one column per term, and s to e is the unitriangular elimination
+of ``elementary_integers``, one column per emitted coefficient subtracted
+from a bead-keyed residual.  Both run on integers, wrapped like the m and
+s changes.
 
 Products and values go through the expansion into the integer
 :class:`~wkintersect.laurent.LaurentPoly` (``to_exponent_poly``, every
@@ -66,37 +69,6 @@ BASES = (MONOMIAL, ELEMENTARY, SCHUR)
 # ---------------------------------------------------------------------------
 # Kostka machinery
 # ---------------------------------------------------------------------------
-
-def _vstrip_additions(shape, k, nrows):
-    """Shapes obtained from ``shape`` by adding a vertical k-strip."""
-    L = len(shape)
-    maxrow = min(L + k, nrows)
-    out = []
-    acc = []
-
-    def rec(i, rem):
-        if rem == 0:
-            out.append(ptrim(tuple(acc) + shape[i:]))
-            return
-        if i == maxrow:
-            return
-        base = shape[i] if i < L else 0
-        for b in (1, 0):
-            if b > rem:
-                continue
-            v = base + b
-            if i > 0 and v > acc[i - 1]:
-                continue
-            if v == 0 and rem > b:
-                # all later rows are empty as well; no room left
-                continue
-            acc.append(v)
-            rec(i + 1, rem - b)
-            acc.pop()
-
-    rec(0, k)
-    return out
-
 
 def _add_hstrip(col, k):
     """Every shape of a bead-keyed column (at least two beads) with a
@@ -147,17 +119,45 @@ def kostka_column(content, nrows):
     return col
 
 
+def _add_vstrip(col, k):
+    """Every shape of a bead-keyed column with a vertical k-strip added,
+    multiplicities summed: k beads move up one position each.  The beads
+    are walked top down; a bead stays if the moves left fit the beads
+    below it, or moves up one if the position above is free (bead 0
+    always, bead i when bead i-1 has moved or stands two or more above).
+    Needs k <= the number of beads."""
+    out = {}
+    get = out.get
+    for beta, c in col.items():
+        heads = [((), k)]
+        below = len(beta)
+        for b in beta:
+            below -= 1
+            up = b + 1
+            nxt = []
+            for head, rem in heads:
+                if rem <= below:
+                    nxt.append((head + (b,), rem))
+                if rem and (not head or head[-1] > up):
+                    nxt.append((head + (up,), rem - 1))
+            heads = nxt
+        for head, _ in heads:
+            out[head] = get(head, 0) + c
+    return out
+
+
 def dual_kostka_column(content, nrows):
-    """{mu: K_{mu^T, content}} over shapes mu with at most nrows rows,
-    grown by vertical strips (one per part of the content), fresh on each
-    call."""
-    col = {(): 1}
+    """All dual Kostka numbers K_{mu^T, content} at once: {beta: K} keyed
+    by the beta numbers of the shapes mu with at most nrows rows, like
+    :func:`kostka_column`.  Iterated Pieri growth, one vertical strip per
+    non-zero part of the content; a part above nrows leaves no shape.
+    Each call grows a fresh column, which the caller owns."""
+    if any(part > nrows for part in content):
+        return {}
+    col = {tuple(range(nrows - 1, -1, -1)): 1}
     for part in content:
-        nxt = {}
-        for shape, c in col.items():
-            for t in _vstrip_additions(shape, part, nrows):
-                nxt[t] = nxt.get(t, 0) + c
-        col = nxt
+        if part:
+            col = _add_vstrip(col, part)
     return col
 
 
@@ -188,8 +188,8 @@ def inverse_kostka(lam, mu):
 
 
 def clear_caches():
-    """Drop the memoized partition classes, the only data this module's
-    base changes keep between calls (used by benchmarks and tests)."""
+    """Drop the memoized partition classes, the one memo the formula path
+    keeps between calls (used by benchmarks and tests)."""
     partition_class.cache_clear()
 
 
@@ -229,7 +229,8 @@ def _alternant_coefficient(coded, mu, n):
     no leaf sorts anything."""
     beta = [(mu[i] if i < len(mu) else 0) + n - 1 - i for i in range(n)]
     b0 = beta[0]
-    pw = [_multiset_code((a,), n) for a in range(b0 + 1)]
+    bits = n.bit_length()
+    pw = [1 << (bits * a) for a in range(b0 + 1)]
     get = coded.get
     if n == 1:
         return get(pw[b0], 0)
@@ -289,11 +290,12 @@ def _alternant_coefficient(coded, mu, n):
 
 
 def _shapes_to_read(keys, n, width=None):
-    """The shapes mu whose coefficient a change between the m and s bases
-    reads, degree by degree in reverse-lex order: mu at most the lex-leading
-    key of its degree (m_lam occurs in s_nu only for lam <= nu in
-    dominance, so every other coefficient vanishes) and, with ``width``,
-    mu_1 <= width.  Keys may be trimmed or padded to n parts."""
+    """The shapes mu whose coefficient a change between the m and s bases,
+    or from s to e, reads, degree by degree in reverse-lex order: mu at most
+    the lex-leading key of its degree (m_lam occurs in s_nu, and s_lam in
+    e_{nu^T}, only for lam <= nu in dominance, so every other coefficient
+    vanishes) and, with ``width``, mu_1 <= width.  Keys may be trimmed or
+    padded to n parts."""
     lead = {}
     for lam in keys:
         lam = lam + (0,) * (n - len(lam))
@@ -333,6 +335,28 @@ def monomial_integers(schur, n):
         if c:
             found[_multiset_code(lam + (0,) * (n - len(lam)), n)] = c
             out[lam] = c
+    return out
+
+
+def elementary_integers(schur, n):
+    """{lam: [e_lam] f} != 0 for an integer f = {mu: [s_mu] f}, the mirror
+    of :func:`monomial_integers` on dual columns: e_{rho^T} = sum_{mu <=
+    rho} K_{mu^T, rho^T} s_mu with K_{rho^T, rho^T} = 1, so walking each
+    degree in reverse-lex order gives [e_{rho^T}] f as the residual at rho,
+    and one dual column per emitted coefficient is subtracted from the
+    residual (keyed by beta numbers).  Keys are trimmed partitions."""
+    residual = {hook_numbers(mu, n): c for mu, c in schur.items()}
+    get = residual.get
+    out = {}
+    for rho in _shapes_to_read(schur, n):
+        c = get(hook_numbers(rho, n))
+        if c:
+            rho_t = transpose(rho)
+            for beta, k in dual_kostka_column(rho_t, n).items():
+                residual[beta] = get(beta, 0) - c * k
+            out[rho_t] = c
+    if any(residual.values()):
+        raise AssertionError("Schur-to-elementary elimination left a residual")
     return out
 
 
@@ -462,15 +486,6 @@ class SymPoly:
             ),
         )
 
-    # -- structure ------------------------------------------------------
-
-    def homogeneous_components(self):
-        """Split into {degree: SymPoly}; exact for every basis."""
-        out = {}
-        for k, v in self.terms.items():
-            out.setdefault(sum(k), {})[k] = v
-        return {d: SymPoly(self.n, self.basis, t) for d, t in sorted(out.items())}
-
     # -- expansions ------------------------------------------------------
 
     def to_exponent_poly(self):
@@ -534,76 +549,32 @@ class SymPoly:
     # -- base change ------------------------------------------------------
 
     def change_basis(self, target):
+        """The same polynomial in the target basis.  Each change to or from
+        the Schur basis runs on integers over one common denominator, one
+        ``Rat`` per coefficient: m to s reads the alternant, s to m and s
+        to e eliminate, e to s sums dual Kostka columns.  m and e meet
+        through s."""
         if target not in BASES:
             raise ValueError("unknown basis %r" % (target,))
         if target == self.basis:
             return SymPoly._make(self.n, self.basis, dict(self.terms))
-        key = (self.basis, target)
-        if key == (SCHUR, MONOMIAL):
-            return self._schur_to_monomial()
-        if key == (MONOMIAL, SCHUR):
-            return self._monomial_to_schur()
-        if key == (ELEMENTARY, SCHUR):
-            return self._elementary_to_schur()
-        if key == (SCHUR, ELEMENTARY):
-            return self._schur_to_elementary()
-        # the remaining pairs compose through the Schur basis
-        return self.change_basis(SCHUR).change_basis(target)
-
-    def _schur_to_monomial(self):
-        """The elimination of :func:`monomial_integers`, in integers over
-        one common denominator."""
-        den, items = _integer_terms(self.terms)
-        m = monomial_integers(dict(items), self.n)
-        return SymPoly._make(self.n, MONOMIAL, {lam: Rat(c, den) for lam, c in m.items()})
-
-    def _monomial_to_schur(self):
-        """Schur coefficients read off the alternant, one shape at a time:
-        [s_mu] f = sum_w sgn(w) f[sort(mu + delta - w(delta))] over the
-        permutations w that leave every entry non-negative, in integers
-        over one common denominator."""
+        if SCHUR not in (self.basis, target):
+            return self.change_basis(SCHUR).change_basis(target)
         n = self.n
         den, items = _integer_terms(self.terms)
-        z = schur_integers({lam + (0,) * (n - len(lam)): c for lam, c in items}, n)
-        return SymPoly._make(n, SCHUR, {mu: Rat(c, den) for mu, c in z.items()})
-
-    def _elementary_to_schur(self):
-        out = {}
-        for lam, c in self.terms.items():
-            for mu, k in dual_kostka_column(lam, self.n).items():
-                w = out.get(mu, RAT_ZERO) + c * k
-                if w:
-                    out[mu] = w
-                elif mu in out:
-                    del out[mu]
-        return SymPoly(self.n, SCHUR, out)
-
-    def _schur_to_elementary(self):
-        """Triangular elimination against vertical-strip Kostka columns.
-
-        e_{rho^T} = sum_{mu <= rho} K_{mu^T, rho^T} s_mu with unit diagonal,
-        so walking the class in reverse-lex order and subtracting one dual
-        column per emitted coefficient inverts the relation; only columns
-        for coefficients that actually appear are ever built.
-        """
-        out = {}
-        for d, comp in self.homogeneous_components().items():
-            residual = dict(comp.terms)
-            for rho in partition_class(d, self.n):
-                c = residual.get(rho)
-                if not c:
-                    continue
-                rho_t = transpose(rho)
-                for mu, k in dual_kostka_column(rho_t, self.n).items():
-                    w = residual.get(mu, RAT_ZERO) - c * k
-                    if w:
-                        residual[mu] = w
-                    elif mu in residual:
-                        del residual[mu]
-                out[rho_t] = out.get(rho_t, RAT_ZERO) + c
-            if residual:
-                raise AssertionError("Schur-to-elementary elimination left a residual")
-        return SymPoly(self.n, ELEMENTARY, {k: v for k, v in out.items() if v})
+        if self.basis == MONOMIAL:
+            out = schur_integers({lam + (0,) * (n - len(lam)): c for lam, c in items}, n)
+        elif self.basis == ELEMENTARY:
+            acc = {}
+            for lam, c in items:
+                for beta, k in dual_kostka_column(lam, n).items():
+                    acc[beta] = acc.get(beta, 0) + c * k
+            out = {shape_of_beads(beta): v for beta, v in acc.items() if v}
+        elif target == MONOMIAL:
+            out = monomial_integers(dict(items), n)
+        else:
+            out = elementary_integers(dict(items), n)
+        return SymPoly._make(n, target, {k: Rat(c, den) for k, c in out.items()})
 
     # -- inner product ----------------------------------------------------
 

@@ -37,6 +37,7 @@ from wkintersect.sympoly import (
     SCHUR,
     dual_kostka_column,
     kostka_column,
+    shape_of_beads,
 )
 
 
@@ -501,7 +502,8 @@ def apply_inverse_elementary(n, lam):
     if lam and lam[0] > n:
         raise ValueError("elementary index %r exceeds %d variables" % (lam, n))
     out = {}
-    for mu, kdual in dual_kostka_column(lam, n).items():
+    for beta, kdual in dual_kostka_column(lam, n).items():
+        mu = shape_of_beads(beta)
         gm = kdual * _gnum(mu)
         for nu, k in kostka_row_restricted(mu, n).items():
             w = out.get(nu, RAT_ZERO) + Rat(gm * k, _dden(nu))
@@ -585,9 +587,9 @@ def wn_det_truncated(n, g_max, dtable=None):
                 rows.append(row)
             acc = acc + _sym_laplace_det(rows).scale(dv)
     out = {}
-    comps = acc.homogeneous_components()
     for g in range(g_max + 1):
-        piece = comps.get(degree_rn(g, n), SymPoly.zero(n, MONOMIAL))
+        d = degree_rn(g, n)
+        piece = SymPoly(n, MONOMIAL, {k: v for k, v in acc.terms.items() if sum(k) == d})
         out[g] = Correlator(g, n, piece.change_basis(SCHUR).terms)
     return out
 

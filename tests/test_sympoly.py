@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from brute import (
     ssyt_count,
 )
 from wkintersect.rational import Rat
+from wkintersect.pengine import DTable, r_max
 from wkintersect.partitions import enumerate_partitions, partition_class, transpose
 from wkintersect.sympoly import (
     BASES,
@@ -90,12 +92,18 @@ def test_kostka_column_skips_zero_parts():
 
 
 def test_dual_column_is_transposed_kostka():
-    n = 4
-    for d in range(1, 8):
-        for lam in enumerate_partitions(d, d, max_part=n):
-            dcol = dual_kostka_column(lam, n)
-            for mu in partition_class(d, n):
-                assert dcol.get(mu, 0) == ssyt_count(transpose(mu), lam)
+    for n in range(1, 7):
+        for d in range(1, 8):
+            for lam in enumerate_partitions(d, d, max_part=n):
+                dcol = {shape_of_beads(b): k for b, k in dual_kostka_column(lam, n).items()}
+                for mu in partition_class(d, n):
+                    assert dcol.get(mu, 0) == ssyt_count(transpose(mu), lam), (n, lam, mu)
+    # a zero part adds nothing, a part equal to n fills every row, and a
+    # part above n leaves no shape
+    assert dual_kostka_column((2, 0, 1), 3) == dual_kostka_column((2, 1), 3)
+    assert dual_kostka_column((3, 1), 3) == {(4, 2, 1): 1}  # s_{2,1,1}
+    assert dual_kostka_column((2, 1), 1) == {}
+    assert dual_kostka_column((5,), 4) == {}
 
 
 def test_inverse_kostka_examples():
@@ -248,6 +256,15 @@ def test_round_trips_random():
                     p = random_sympoly(n, 6, rng, basis)
                 for target in BASES:
                     assert p.change_basis(target).change_basis(basis) == p
+
+
+def test_elementary_round_trip_on_the_n7_table():
+    # s -> e -> s on every block of the committed n = 7 table: the dual
+    # columns and their elimination at the largest n the tests hold
+    table = DTable.load(os.path.join(os.path.dirname(__file__), "dtable_n7.txt"))
+    for r in range(r_max(7) + 1):
+        p = table.p_rn(r, 7)
+        assert p.change_basis(ELEMENTARY).change_basis(SCHUR) == p, r
 
 
 def test_monomial_elementary_composition_agrees_with_expansion():
