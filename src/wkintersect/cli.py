@@ -2,19 +2,19 @@
 polynomials, coefficient-table management, oracle cross-verification,
 the elementary-basis support report and a scaling benchmark.
 
-Exit codes: 0 success, 1 verification mismatch, 2 domain error (an
-input out of range or beyond the admission budget), 3 I/O error,
-4 internal failure (recursion depth or memory exhausted, or any other
-unexpected exception).
+Exit codes: 0 success, 1 verification mismatch, 2 domain or usage error
+(an input out of range or beyond the admission budget, or a malformed
+command line), 3 I/O error, 4 internal failure (recursion depth or memory
+exhausted, or any other unexpected exception).
 All output is deterministic for a fixed configuration and cache state
 (timings excepted).
 """
 
-import argparse
 import functools
 import os
 import sys
 import time
+import types
 
 from . import intersect, oracle, sympoly
 from .partitions import format_partition, partition_class
@@ -134,6 +134,9 @@ def cmd_verify(args, out):
     """Every index with g <= g_max and n <= n_max, formula against oracle.
     At n <= 2 ``tau`` delegates to the oracle, so those indices compare the
     oracle with itself; the per-n lines say which route each n took."""
+    # 2g - 2 + n is largest at the top corner of the box
+    if args.g_max < 0 or args.n_max < 1 or 2 * args.g_max - 2 + args.n_max <= 0:
+        raise ValueError("no admissible index with g <= %d, n <= %d" % (args.g_max, args.n_max))
     table = load_table(args)
     counts = {}
     bad = []
@@ -222,6 +225,8 @@ def cmd_bench(args, out):
     against the recursion, medians of three runs each; with --json one
     object {n, g_max, setup_seconds, rows: [{g, t_formula, t_oracle}]}."""
     n = args.n
+    if args.g_max < 1:
+        raise ValueError("bench needs --g-max >= 1")
     table = load_table(args)
     t0 = time.perf_counter()
     table.ensure_upto(min(args.g_max, r_max(n)), n)
@@ -260,63 +265,201 @@ def cmd_bench(args, out):
 # driver
 # ---------------------------------------------------------------------------
 
+# An option is (kind, default): kind is int, str, a tuple of choices or FLAG;
+# a default of REQUIRED makes the option mandatory, and a callable default is
+# called when a command line leaves the option out.
+FLAG = bool
+REQUIRED = object()
+BASES = tuple(sorted(BASIS_NAMES))
+DESCRIPTION = "Exact Witten-Kontsevich intersection numbers and their generating polynomials."
+GLOBAL_OPTIONS = {
+    "--cache-dir": (str, default_cache_dir),
+    "--format": (("human", "tsv"), "human"),
+}
+# command -> (handler name, help line, options).  The handler is looked up
+# by name when the command runs, not bound here.
+COMMANDS = {
+    "tau": ("cmd_tau", "one intersection number", {
+        "--genus": (int, REQUIRED),
+        "--powers": (str, REQUIRED),
+    }),
+    "agn": ("cmd_agn", "generating polynomial A_{g,n}", {
+        "--genus": (int, REQUIRED),
+        "-n": (int, REQUIRED),
+        "--basis": (BASES, "monomial"),
+    }),
+    "pn": ("cmd_pn", "homogeneous component P_{r,n}", {
+        "-n": (int, REQUIRED),
+        "-r": (int, REQUIRED),
+        "--basis": (BASES, "schur"),
+    }),
+    "dtable": ("cmd_dtable", "write/refresh the coefficient-table cache", {
+        "-n": (int, REQUIRED),
+        "--r-max": (int, None),
+    }),
+    "verify": ("cmd_verify", "closed formula against the recursion oracle", {
+        "--g-max": (int, 2),
+        "--n-max": (int, 4),
+    }),
+    "elo": ("cmd_elo", "appearing vs allowed elementary-basis support", {
+        "-n": (int, REQUIRED),
+        "--r-max": (int, None),
+    }),
+    "bench": ("cmd_bench", "formula vs oracle timing table", {
+        "-n": (int, REQUIRED),
+        "--g-max": (int, 6),
+        "--json": (FLAG, False),
+    }),
+}
+HELP = ("-h", "--help")
 
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="wk",
-        description="Exact Witten-Kontsevich intersection numbers and their generating polynomials.",
-    )
-    top.add_argument("--cache-dir", default=default_cache_dir(), help="coefficient cache directory (env WK_CACHE_DIR)")
-    top.add_argument("--format", choices=("human", "tsv"), default="human")
-    sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tau", help="one intersection number")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--powers", required=True, help="comma-separated tau indices, e.g. 0,0,3")
-    p.set_defaults(func=cmd_tau)
+class UsageError(Exception):
+    """A malformed command line, or a request for help (message None);
+    command is None before the command word."""
 
-    p = sub.add_parser("agn", help="generating polynomial A_{g,n}")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--basis", choices=sorted(BASIS_NAMES), default="monomial")
-    p.set_defaults(func=cmd_agn)
+    def __init__(self, command, message=None):
+        super().__init__(message)
+        self.command = command
+        self.message = message
 
-    p = sub.add_parser("pn", help="homogeneous component P_{r,n}")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--basis", choices=sorted(BASIS_NAMES), default="schur")
-    p.set_defaults(func=cmd_pn)
 
-    p = sub.add_parser("dtable", help="write/refresh the coefficient-table cache")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--r-max", type=int, default=None)
-    p.set_defaults(func=cmd_dtable)
+def _dest(option):
+    return option.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("verify", help="closed formula against the recursion oracle")
-    p.add_argument("--g-max", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=4)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("elo", help="appearing vs allowed elementary-basis support")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--r-max", type=int, default=None)
-    p.set_defaults(func=cmd_elo)
+def _resolve(token, options, command):
+    """(option, attached value or None) for one token that starts with '-':
+    '--name', '--name=value', a unique prefix of a long option, '-x',
+    '-xVALUE' or '-x=VALUE'.  An unknown or ambiguous name is a UsageError."""
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        names = [o for o in (*options, *HELP) if o.startswith("--")]
+        found = [name] if name in names else [o for o in names if o.startswith(name)]
+        value = value if eq else None
+    else:
+        name, value = token[:2], token[2:]
+        found = [name] if name in options or name in HELP else []
+        value = value[1:] if value.startswith("=") else value or None
+    if len(found) != 1:
+        raise UsageError(command, "unrecognized arguments: %s" % token)
+    return found[0], value
 
-    p = sub.add_parser("bench", help="formula vs oracle timing table")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--g-max", type=int, default=6)
-    p.add_argument("--json", action="store_true", help="print one JSON object instead of the table")
-    p.set_defaults(func=cmd_bench)
 
-    return top
+def parse_args(argv):
+    """The fields of one ``wk`` command line: ``command``, the global options
+    and the command's options, named as the options without their leading
+    dashes and with '-' as '_'.  Global options come before the command.
+    An option takes the next token as its value whatever it looks like, so
+    negative numbers need no quoting.  Raises UsageError."""
+    command = None
+    options = GLOBAL_OPTIONS
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if command is not None:
+                raise UsageError(command, "unrecognized arguments: %s" % token)
+            if token not in COMMANDS:
+                raise UsageError(None, "invalid choice: %r (choose from %s)" % (token, ", ".join(COMMANDS)))
+            command = token
+            options = COMMANDS[command][2]
+            continue
+        option, value = _resolve(token, options, command)
+        kind = FLAG if option in HELP else options[option][0]
+        if kind is FLAG:
+            if value is not None:
+                raise UsageError(command, "argument %s: ignored explicit argument %r" % (option, value))
+            if option in HELP:
+                raise UsageError(command)
+            values[_dest(option)] = True
+            continue
+        if value is None:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(command, "argument %s: expected one argument" % option)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(command, "argument %s: invalid int value: %r" % (option, value))
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(
+                command, "argument %s: invalid choice: %r (choose from %s)" % (option, value, ", ".join(kind))
+            )
+        values[_dest(option)] = value
+    if command is None:
+        raise UsageError(None, "the following arguments are required: command")
+    missing = []
+    for option, (kind, default) in (*GLOBAL_OPTIONS.items(), *options.items()):
+        if _dest(option) not in values:
+            if default is REQUIRED:
+                missing.append(option)
+            values[_dest(option)] = default() if callable(default) else default
+    if missing:
+        raise UsageError(command, "the following arguments are required: %s" % ", ".join(missing))
+    return types.SimpleNamespace(command=command, **values)
+
+
+def _option_word(option, kind):
+    if kind is FLAG:
+        return option
+    if isinstance(kind, tuple):
+        return "%s {%s}" % (option, ",".join(kind))
+    return "%s %s" % (option, _dest(option).upper())
+
+
+def usage(command):
+    """The usage line of ``wk`` (command None) or of one command."""
+    options = GLOBAL_OPTIONS if command is None else COMMANDS[command][2]
+    words = ["wk" if command is None else "wk " + command, "[-h]"]
+    for option, (kind, default) in options.items():
+        word = _option_word(option, kind)
+        words.append(word if default is REQUIRED else "[%s]" % word)
+    if command is None:
+        words.append("{%s} ..." % ",".join(COMMANDS))
+    return "usage: %s\n" % " ".join(words)
+
+
+def help_text(command):
+    """Usage, description, commands (top level) and options with defaults."""
+    if command is None:
+        options, about = GLOBAL_OPTIONS, DESCRIPTION
+    else:
+        options, about = COMMANDS[command][2], COMMANDS[command][1]
+    lines = [usage(command), about, ""]
+    if command is None:
+        lines.append("commands:")
+        lines += ["  %-8s%s" % (name, spec[1]) for name, spec in COMMANDS.items()]
+        lines.append("")
+    rows = [("-h, --help", "show this help message and exit")]
+    for option, (kind, default) in options.items():
+        if default is REQUIRED:
+            note = "required"
+        elif kind is FLAG or default is None:
+            note = ""
+        else:
+            note = "default %s" % (default() if callable(default) else default,)
+        rows.append((_option_word(option, kind), note))
+    width = max(len(word) for word, _ in rows)
+    lines.append("options:")
+    lines += [("  %-*s  %s" % (width, word, note)).rstrip() for word, note in rows]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args, out)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        if exc.message is None:
+            out.write(help_text(exc.command))
+            return EXIT_OK
+        prog = "wk" if exc.command is None else "wk " + exc.command
+        sys.stderr.write("%s%s: error: %s\n" % (usage(exc.command), prog, exc.message))
+        return EXIT_DOMAIN
+    try:
+        return globals()[COMMANDS[args.command][0]](args, out)
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return EXIT_DOMAIN

@@ -17,14 +17,30 @@ and genus-1 closed forms ``closed_a0n``/``closed_a1n`` (``SymPoly`` in the
 elementary basis), and the all-genus determinant ``wn_det_truncated``,
 which reads the ``DTable`` blocks and expands its determinant by ``SymPoly``
 products (``_sym_laplace_det``) before returning ``Correlator`` tables.
+
+``build_parser`` is the argparse parser of the ``wk`` command line from
+before its one table of commands, kept as the reference that
+``cli.parse_args`` is compared against.
 """
 
+import argparse
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 from wkintersect import laurent
+from wkintersect.cli import (
+    BASIS_NAMES,
+    cmd_agn,
+    cmd_bench,
+    cmd_dtable,
+    cmd_elo,
+    cmd_pn,
+    cmd_tau,
+    cmd_verify,
+    default_cache_dir,
+)
 from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat, gamma_half_ratio
 from wkintersect.partitions import enumerate_partitions, hook_numbers, partition_class, ptrim
 from wkintersect.hop import _dden, _gnum, barnes_constant
@@ -603,3 +619,53 @@ def count_exact_length(n, r):
             if len(nu) == r:
                 count += 1
     return count
+
+
+def build_parser():
+    top = argparse.ArgumentParser(
+        prog="wk",
+        description="Exact Witten-Kontsevich intersection numbers and their generating polynomials.",
+    )
+    top.add_argument("--cache-dir", default=default_cache_dir(), help="coefficient cache directory (env WK_CACHE_DIR)")
+    top.add_argument("--format", choices=("human", "tsv"), default="human")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("tau", help="one intersection number")
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--powers", required=True, help="comma-separated tau indices, e.g. 0,0,3")
+    p.set_defaults(func=cmd_tau)
+
+    p = sub.add_parser("agn", help="generating polynomial A_{g,n}")
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--basis", choices=sorted(BASIS_NAMES), default="monomial")
+    p.set_defaults(func=cmd_agn)
+
+    p = sub.add_parser("pn", help="homogeneous component P_{r,n}")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("--basis", choices=sorted(BASIS_NAMES), default="schur")
+    p.set_defaults(func=cmd_pn)
+
+    p = sub.add_parser("dtable", help="write/refresh the coefficient-table cache")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--r-max", type=int, default=None)
+    p.set_defaults(func=cmd_dtable)
+
+    p = sub.add_parser("verify", help="closed formula against the recursion oracle")
+    p.add_argument("--g-max", type=int, default=2)
+    p.add_argument("--n-max", type=int, default=4)
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("elo", help="appearing vs allowed elementary-basis support")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--r-max", type=int, default=None)
+    p.set_defaults(func=cmd_elo)
+
+    p = sub.add_parser("bench", help="formula vs oracle timing table")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--g-max", type=int, default=6)
+    p.add_argument("--json", action="store_true", help="print one JSON object instead of the table")
+    p.set_defaults(func=cmd_bench)
+
+    return top

@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+from brute import build_parser
 from wkintersect import cli
 from wkintersect.pengine import DTable, r_max
 
@@ -79,6 +81,21 @@ def test_dtable_idempotent_and_verify(tmp_path):
     assert "0 mismatches" in out
     code, out = run_cli(["verify", "--g-max", "1", "--n-max", "4"], tmp_path)
     assert code == 0 and "0 mismatches" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--g-max", "-1"],
+        ["verify", "--n-max", "0"],
+        ["verify", "--g-max", "0", "--n-max", "2"],
+        ["bench", "-n", "3", "--g-max", "0"],
+    ],
+)
+def test_empty_verify_and_bench_boxes_are_domain_errors(tmp_path, capsys, args):
+    code, out = run_cli(args, tmp_path)
+    assert code == cli.EXIT_DOMAIN == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_reports_its_coverage_per_n(tmp_path):
@@ -292,3 +309,158 @@ def test_console_script_smoke(tmp_path):
     )
     assert res.returncode == 0
     assert res.stdout.strip() == "1/1152"
+
+
+# ---------------------------------------------------------------------------
+# the command-line parser against the argparse reference in tests/brute.py
+# ---------------------------------------------------------------------------
+
+
+def readme_wk_lines():
+    """The argv of every `wk` line in the README "Command line" block."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("wk ")]
+
+
+# every argv the tests of this module pass to cli.main (without the
+# --cache-dir prefix), then other spellings argparse accepts: an attached
+# short value, '=', and a prefix of a long option
+CLI_TEST_ARGV = [
+    "tau --genus 0 --powers 0,0,0",
+    "tau --genus 1 --powers 1",
+    "tau --genus 1 --powers 0,0,3",
+    "tau --genus 0 --powers 0,0",
+    "tau --genus 1 --powers -3",
+    "tau --genus -1 --powers 0,0,0,0,0",
+    "tau --genus 700 --powers 2098",
+    "tau --genus 0 --powers " + ",".join(["1497"] + ["0"] * 1499),
+    "tau --genus 2 --powers 4",
+    "agn --genus -1 -n 5",
+    "agn --genus 0 -n 5 --basis elementary",
+    "--format tsv agn --genus 1 -n 3 --basis monomial",
+    "pn -n 4 -r 3 --basis schur",
+    "pn -n 5 -r 1 --basis elementary",
+    "pn -n 4 -r 9",
+    "dtable -n 3 --r-max 0",
+    "dtable -n 3 --r-max 1",
+    "dtable -n 4 --r-max 1",
+    "dtable -n 4",
+    "dtable -n 5",
+    "verify --g-max 1 --n-max 3",
+    "verify --g-max 2 --n-max 4",
+    "verify --g-max 1 --n-max 4",
+    "verify --g-max 4 --n-max 5",
+    "verify --g-max 2 --n-max 5",
+    "verify --g-max 10 --n-max 5",
+    "verify --g-max -1",
+    "verify --n-max 0",
+    "verify --g-max 0 --n-max 2",
+    "elo -n 3",
+    "elo -n 4 --r-max 1",
+    "--format tsv elo -n 4",
+    "bench -n 3 --g-max 0",
+    "bench -n 3 --g-max 1",
+    "bench -n 3 --g-max 2",
+    "bench -n 3 --g-max 2 --json",
+    "dtable -n3 --r-max=0",
+    "tau --gen 1 --powers 1",
+    "elo -n=3 --r 1",
+    "--form=tsv pn -r2 -n 4 --b e",
+]
+
+
+def parse_both(argv):
+    """(argparse fields, table-parser fields), the handler by name."""
+    old = vars(build_parser().parse_args(argv))
+    old["func"] = old["func"].__name__
+    new = vars(cli.parse_args(argv))
+    new["func"] = cli.COMMANDS[new["command"]][0]
+    return old, new
+
+
+def test_parser_matches_the_argparse_reference():
+    lines = [argv for argv in readme_wk_lines() if "--help" not in argv]
+    lines += [["--cache-dir", "/c"] + line.split() for line in CLI_TEST_ARGV]
+    assert len(lines) > len(CLI_TEST_ARGV)
+    for argv in lines:
+        old, new = parse_both(argv)
+        assert old == new, argv
+
+
+def test_help_goes_to_out_with_exit_0(capsys):
+    for argv in ([], ["tau"], ["bench"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--help"])
+        assert exc.value.code == 0
+        out = io.StringIO()
+        assert cli.main(argv + ["--help"], out=out) == 0
+        assert out.getvalue().startswith("usage: wk")
+        assert "-h, --help" in out.getvalue()
+        for option in (cli.GLOBAL_OPTIONS if not argv else cli.COMMANDS[argv[0]][2]):
+            assert option in out.getvalue()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["tau", "--genus", "1", "--powers", "1", "--bogus"],
+        ["tau", "--genus", "1", "--powers", "1", "--format", "tsv"],
+        ["tau", "--genus", "1"],
+        ["tau", "--genus", "x", "--powers", "1"],
+        ["agn", "--genus", "1", "-n", "4", "--basis", "q"],
+        ["tau", "--genus", "1", "--powers"],
+        ["bench", "-n", "3", "--json=1"],
+    ],
+)
+def test_malformed_argv_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == cli.EXIT_DOMAIN == 2
+    captured = capsys.readouterr()
+    assert out.getvalue() == "" and captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: wk")
+    assert error.startswith("wk: error: " if argv[:1] in ([], ["bogus"]) else "wk %s: error: " % argv[0])
+
+
+def test_a_dash_value_goes_to_the_command(tmp_path, capsys):
+    # the one deliberate difference: argparse takes "-1,0,2" for an option
+    # and stops; the table parser hands it to tau, which refuses it
+    argv = ["tau", "--genus", "0", "--powers", "-1,0,2"]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert cli.parse_args(argv).powers == "-1,0,2"
+    code, out = run_cli(argv, tmp_path)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: negative tau index in (-1, 0, 2)\n"
+
+
+_MODULES_AFTER_CALLS = """
+import io, sys
+from wkintersect import cli
+for argv in (["tau", "--genus", "1", "--powers", "0,0,3"], ["dtable", "-n", "4"]):
+    assert cli.main(["--cache-dir", sys.argv[1]] + argv, out=io.StringIO()) == 0
+print(" ".join(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+"""
+
+
+def test_calls_import_no_argument_parser(tmp_path):
+    # argparse's set-up (and the locale module its first gettext call
+    # imports) was most of the cost of a small `wk` call
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(cli.__file__), os.pardir))
+    res = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_CALLS, str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == ""

@@ -109,6 +109,26 @@ def test_tau_n7_matches_the_recursion():
     assert intersect.tau(12, d, table) == oracle.virasoro_tau(12, d)
 
 
+def test_n7_table_obeys_the_string_identity(dtable):
+    # P_{r,7} at u_7 = 0 is e_1 * P_{r,6}, with P_{r,6} = 0 for r > r_max(6):
+    # every Schur coefficient of a shape with fewer than 7 rows is the sum of
+    # the P_{r,6} coefficients over the shapes one box smaller (one Pieri
+    # step, written here so that the two table routes share no code)
+    dtable.ensure_upto(r_max(6), 6)
+    seven = DTable.load(N7_TABLE)
+    for r in range(r_max(7) + 1):
+        got = {mu: c for mu, c in seven.get(r, 7).items() if len(mu) < 7}
+        want = {}
+        if r <= r_max(6):
+            for nu, c in dtable.get(r, 6).items():
+                rows = nu + (0,)
+                for i in range(len(rows)):
+                    if i == 0 or rows[i - 1] > rows[i]:
+                        mu = tuple(p for p in rows[:i] + (rows[i] + 1,) + rows[i + 1:] if p)
+                        want[mu] = want.get(mu, 0) + c
+        assert got == {mu: c for mu, c in want.items() if c and len(mu) < 7}, r
+
+
 def test_put_drops_the_bead_view():
     # tau reads each block through an integer view built on first use; a
     # block replaced through put must be read afresh
