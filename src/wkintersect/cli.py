@@ -117,8 +117,8 @@ def cmd_dtable(args, out):
             fcntl.flock(lock, fcntl.LOCK_EX)
             # another writer may have saved since the load above: keep its blocks
             if os.path.exists(path):
-                for key, block in DTable.load(path).blocks.items():
-                    table.blocks.setdefault(key, block)
+                for key, view in DTable.load(path).views.items():
+                    table.views.setdefault(key, view)
             table.counted = True
             tmp = path + ".tmp"
             table.save(tmp)
@@ -126,7 +126,7 @@ def cmd_dtable(args, out):
     except (OSError, ValueError) as exc:
         sys.stderr.write("cannot write %s: %s\n" % (path, exc))
         return EXIT_IO
-    out.write("wrote %s (%d blocks)\n" % (path, len(table.blocks)))
+    out.write("wrote %s (%d blocks)\n" % (path, len(table.views)))
     return EXIT_OK
 
 

@@ -165,7 +165,7 @@ def tau(g, d, dtable=None):
         return oracle_mod.virasoro_tau(g, d)
     lam = tuple(sorted(d, reverse=True))
     dtable, top = _tables(g, n, dtable)
-    views = [dtable.beads(r, n) for r in range(top + 1)]
+    views = [dtable.views[(r, n)] for r in range(top + 1)]
 
     # phi[L] for every bead a shape of weight |lam| can carry; the
     # denominators phi(n-1-i) are the same for every mu and join the final
@@ -209,7 +209,7 @@ def _upward_image(g, n, dtable):
     (g-r)! den_r.  Horner's rule in p_3 runs on the table's bead views
     (g ribbon steps in all)."""
     dtable, top = _tables(g, n, dtable)
-    views = [dtable.beads(r, n)[:2] for r in range(top + 1)]
+    views = [dtable.views[(r, n)][:2] for r in range(top + 1)]
     den = math.lcm(*(math.factorial(g - r) * d for r, (d, _) in enumerate(views)))
     x = {}
     for r, (d, block) in enumerate(views):

@@ -54,9 +54,10 @@ def dominates(lam, mu):
 
 def hook_numbers(lam, n):
     """The strictly decreasing shifted rows L_i = lam_i - i + n, i = 1..n."""
-    if len(lam) > n:
+    k = len(lam)
+    if k > n:
         raise ValueError("partition %r has more than %d rows" % (lam, n))
-    return tuple((lam[i] if i < len(lam) else 0) - (i + 1) + n for i in range(n))
+    return tuple([x + n - i for i, x in enumerate(lam, 1)] + list(range(n - k - 1, -1, -1)))
 
 
 def z_factor(lam, n):
@@ -76,24 +77,56 @@ def z_factor(lam, n):
 
 def enumerate_partitions(d, max_rows, min_part=1, max_part=None):
     """Yield the partitions of d with at most max_rows rows and parts within
-    [min_part, max_part], in reverse-lexicographic order (largest first)."""
+    [min_part, max_part], in reverse-lexicographic order (largest first).
+
+    One list holds the current rows: it grows by the largest part that the
+    rows left can still complete (part * rows_left >= weight left), and on a
+    complete partition or a dead end the last row that can still shrink
+    loses one box."""
     if d < 0:
         return
-    if max_part is None or max_part > d:
-        max_part = d
-
-    def rec(remaining, rows_left, cap):
-        if remaining == 0:
-            yield ()
+    if d == 0:
+        yield ()
+        return
+    low = max(min_part, 1)
+    cap = d if max_part is None else min(max_part, d)
+    rows = []
+    left = d
+    while True:
+        k = len(rows)
+        top = min(rows[-1] if k else cap, left)
+        if k < max_rows and top >= low and top * (max_rows - k) >= left:
+            rows.append(top)
+            left -= top
+            if left:
+                continue
+            yield tuple(rows)
+        while rows:
+            part = rows.pop()
+            left += part
+            if part > low and (part - 1) * (max_rows - len(rows)) >= left:
+                rows.append(part - 1)
+                left -= part - 1
+                break
+        else:
             return
-        if rows_left == 0 or cap < min_part or remaining < min_part:
-            return
-        top = min(cap, remaining)
-        for first in range(top, min_part - 1, -1):
-            for rest in rec(remaining - first, rows_left - 1, first):
-                yield (first,) + rest
 
-    yield from rec(d, max_rows, max_part)
+
+def count_partitions(d, max_rows, limit):
+    """The number of partitions of d with at most max_rows rows, or, once it
+    passes ``limit``, some number above it.  Counted without enumerating:
+    the recursion p(w, k) = p(w, k-1) + p(w-k, k) over the partitions of w
+    into parts at most k (the transposes), tabulated one k at a time and
+    stopped as soon as p(d, k) exceeds the limit."""
+    if d < 0:
+        return 0
+    ways = [1] + [0] * d
+    for k in range(1, min(max_rows, d) + 1):
+        for w in range(k, d + 1):
+            ways[w] += ways[w - k]
+        if ways[d] > limit:
+            break
+    return ways[d]
 
 
 @lru_cache(maxsize=None)
@@ -111,4 +144,4 @@ def parse_partition(text):
     text = text.strip()
     if text == "-" or text == "":
         return ()
-    return ptrim(int(tok) for tok in text.split(","))
+    return ptrim([int(tok) for tok in text.split(",")])

@@ -42,20 +42,22 @@ prod (2 lam_i + 1)!! <tau_lam>_g, is already dden(lam) times the monomial
 coefficients of A_{g,n} up to the scale 2^(4g-2+n), which is what H reads
 (``hop.h_integers``).  H gives y_mu / den_g on the box shapes, the p_3
 ribbon chain runs on those integers, and each P_r sums its images over the
-common denominator of the weights (-1)^k 2^g / (12^k k! den_g), so a
-``Rat`` is built once per emitted coefficient.
+common denominator of the weights (-1)^k 2^g / (12^k k! den_g).  Those
+integers, reduced to the lowest common denominator, are the block's bead
+view (``bead_view``), which the table stores as it comes: no ``Rat`` is
+built on the way.
 
-``DTable`` is the persistent store for the Schur coefficients of the
-P_{r,n}; its line-oriented ASCII format is canonical (identical tables
-serialize to identical bytes).
+``DTable`` is the persistent store of the P_{r,n}: one bead view per
+block, the form every query reads.  Its line-oriented ASCII format is
+canonical (identical tables serialize to identical bytes), and a load
+parses each line straight into the view, in integers.
 """
 
 import math
-from itertools import islice
 
-from .rational import Rat, rat_from_str
+from .rational import Rat
 from .partitions import (
-    enumerate_partitions,
+    count_partitions,
     format_partition,
     hook_numbers,
     parse_partition,
@@ -68,8 +70,9 @@ from .sympoly import SCHUR, SymPoly, raise_ribbons, runner_counts, shape_of_bead
 
 FILE_HEADER = "# dtable v1"
 
-# admission budget: the most partitions a bootstrap may enumerate in its top
-# weight class (an n = 7 table up to r = 15 needs 16 475; n = 6 needs 1 729)
+# admission budget: the most partitions the top weight class of a bootstrap may
+# hold, counted without enumerating them (an n = 7 table up to r = 15 needs
+# 16 475; n = 6 needs 1 729)
 MAX_CLASS_SIZE = 20000
 
 # the direct route's cost grows like n!; beyond this it is refused
@@ -79,6 +82,11 @@ DIRECT_ROUTE_MAX_N = 5
 def r_max(n):
     """Largest homogeneous index: (n-1)(n-2)/2."""
     return (n - 1) * (n - 2) // 2
+
+
+def _check_index(r, n):
+    if not 0 <= r <= r_max(n):
+        raise ValueError("component index %d out of range for n=%d" % (r, n))
 
 
 def degree_rn(r, n):
@@ -96,16 +104,35 @@ def box_width(n):
 # ---------------------------------------------------------------------------
 
 
+def bead_view(den, ints):
+    """The canonical view of the block {beta: ints[beta] / den} (beta the
+    beta numbers of the Schur shape): (den, {beta: den * coefficient}, the
+    3-abacus runner counts of its shapes), zero terms dropped and den the
+    lcm of the reduced denominators, so equal blocks have equal views."""
+    ints = {beta: c for beta, c in ints.items() if c}
+    g = math.gcd(den, *ints.values())
+    if g > 1:
+        den //= g
+        ints = {beta: c // g for beta, c in ints.items()}
+    return den, ints, {runner_counts(beta) for beta in ints}
+
+
+def block_terms(view):
+    """{nu: coefficient} of a bead view, the block in partitions and Rats."""
+    den, ints, _ = view
+    return {shape_of_beads(beta): Rat(c, den) for beta, c in ints.items()}
+
+
 def bootstrap_all(r_top, n):
-    """All components P_{0,n} .. P_{r_top,n} in the Schur basis, in integers
-    from the oracle's classes (lam_1 <= 3n - 6) to the table, restricted to
-    the shapes with mu_1 <= 2n - 5 (see the module docstring)."""
+    """All components P_{0,n} .. P_{r_top,n} as bead views {r: view} (see
+    ``bead_view``), in integers from the oracle's classes (lam_1 <= 3n - 6)
+    to the table, restricted to the shapes with mu_1 <= 2n - 5 (see the
+    module docstring)."""
     if n < 3:
         raise ValueError("the bootstrap starts at n = 3")
-    if not 0 <= r_top <= r_max(n):
-        raise ValueError("component index %d out of range for n=%d" % (r_top, n))
+    _check_index(r_top, n)
     d = degree_rn(r_top, n)
-    if sum(1 for _ in islice(enumerate_partitions(d, n), MAX_CLASS_SIZE + 1)) > MAX_CLASS_SIZE:
+    if count_partitions(d, n, MAX_CLASS_SIZE) > MAX_CLASS_SIZE:
         raise ValueError(
             "bootstrap of (r=%d, n=%d) needs more than %d partitions of %d"
             % (r_top, n, MAX_CLASS_SIZE, d)
@@ -135,10 +162,9 @@ def bootstrap_all(r_top, n):
                 term = raise_ribbons(term, 3, top)
     out = {}
     for r, into in enumerate(acc):
-        terms = {shape_of_beads(beta): Rat(v, common[r]) for beta, v in into.items() if v}
-        if any(sum(mu) != degree_rn(r, n) for mu in terms):
+        out[r] = view = bead_view(common[r], into)
+        if any(sum(beta) != degree_rn(r, n) + n * (n - 1) // 2 for beta in view[1]):
             raise AssertionError("inhomogeneous bootstrap output at (r=%d, n=%d)" % (r, n))
-        out[r] = SymPoly._make(n, SCHUR, terms)
     return out
 
 
@@ -237,88 +263,80 @@ def direct_p(n, extra_truncation=0):
 
 
 class DTable:
-    """Map (r, n) -> {nu: coefficient} with a canonical ASCII file form.
+    """Map (r, n) -> the block P_{r,n}, with a canonical ASCII file form.
 
-    ``beads(r, n)`` gives an integer view of a block for the formula's dot
-    products, built when a query first reads the block.  Blocks are
-    therefore replaced through ``put``, which drops the view; a block must
-    not be mutated in place once a query has read it."""
+    ``views[(r, n)]`` holds each block once, as its bead view
+    (``bead_view``): the integers the formula's dot products read, so a
+    loaded or bootstrapped table is ready for every query.  ``get``,
+    ``p_rn`` and ``blocks`` give blocks in partitions and Rats, built per
+    call; ``put`` converts on the way in."""
 
     def __init__(self):
-        self.blocks = {}
-        self._beads = {}
+        self.views = {}
         # block headers carry their term count; a table loaded from a file
         # without counts writes none, so it re-serialises to the same bytes
         self.counted = True
 
     def has(self, r, n):
-        return (r, n) in self.blocks
+        return (r, n) in self.views
 
     def get(self, r, n):
-        return self.blocks[(r, n)]
+        return block_terms(self.views[(r, n)])
+
+    @property
+    def blocks(self):
+        """{(r, n): {nu: coefficient}} for every block."""
+        return {key: block_terms(view) for key, view in self.views.items()}
 
     def put(self, r, n, coeffs):
-        if not 0 <= r <= r_max(n):
-            raise ValueError("component index %d out of range for n=%d" % (r, n))
+        _check_index(r, n)
         want = degree_rn(r, n)
-        clean = {}
+        vals = {}
         for k, v in coeffs.items():
-            k = ptrim(k)
             v = Rat(v)
-            if sum(k) != want:
-                raise ValueError("coefficient at weight %d in block (r=%d, n=%d)" % (sum(k), r, n))
-            if len(k) > n:
-                raise ValueError("partition %s has more than %d rows" % (format_partition(k), n))
+            beta = _checked_beads(ptrim(k), want, r, n)
             if v:
-                clean[k] = v
-        self.blocks[(r, n)] = clean
-        self._beads.pop((r, n), None)
-
-    def beads(self, r, n):
-        """The (r, n) block over one denominator, keyed by beta numbers:
-        (den, {beta: den * coefficient}, the 3-abacus runner counts of its
-        shapes)."""
-        view = self._beads.get((r, n))
-        if view is None:
-            block = self.blocks[(r, n)]
-            den = math.lcm(*(v.denominator for v in block.values()))
-            ints = {
-                hook_numbers(nu, n): v.numerator * (den // v.denominator)
-                for nu, v in block.items()
-            }
-            view = self._beads[(r, n)] = (den, ints, {runner_counts(b) for b in ints})
-        return view
+                vals[beta] = v
+        den = math.lcm(*(v.denominator for v in vals.values()))
+        self.views[(r, n)] = bead_view(
+            den, {beta: v.numerator * (den // v.denominator) for beta, v in vals.items()}
+        )
 
     def ensure(self, r, n):
-        """Compute and store the (r, n) block if missing; returns it."""
+        """Compute and store the (r, n) block if missing."""
         if not self.has(r, n):
             self.ensure_upto(r, n)
-        return self.blocks[(r, n)]
 
     def ensure_upto(self, r_top, n):
         if all(self.has(r, n) for r in range(r_top + 1)):
             return
-        for r, p in bootstrap_all(r_top, n).items():
-            if not self.has(r, n):
-                self.put(r, n, p.terms)
+        for r, view in bootstrap_all(r_top, n).items():
+            self.views.setdefault((r, n), view)
 
     def p_rn(self, r, n):
-        return SymPoly(n, SCHUR, dict(self.blocks[(r, n)]))
+        return SymPoly(n, SCHUR, self.get(r, n))
 
     # -- serialization --------------------------------------------------
 
     def dumps(self):
         lines = [FILE_HEADER]
-        first = True
-        for (r, n) in sorted(self.blocks, key=lambda rn: (rn[1], rn[0])):
-            if not first:
+        for (r, n) in sorted(self.views, key=lambda rn: (rn[1], rn[0])):
+            if len(lines) > 1:
                 lines.append("")
-            first = False
-            block = self.blocks[(r, n)]
+            den, ints, _ = self.views[(r, n)]
             head = "n=%d r=%d" % (n, r)
-            lines.append(head + " terms=%d" % len(block) if self.counted else head)
-            for nu in sorted(block, reverse=True):
-                lines.append("%s %s" % (format_partition(nu), block[nu]))
+            lines.append(head + " terms=%d" % len(ints) if self.counted else head)
+            # beta numbers sort as their shapes do; bead i sits at n - 1 - i
+            # for a zero row
+            base = range(n - 1, -1, -1)
+            for beta in sorted(ints, reverse=True):
+                c = ints[beta]
+                g = math.gcd(c, den)
+                nu = ",".join([str(b - z) for b, z in zip(beta, base) if b != z]) or "-"
+                if g == den:
+                    lines.append("%s %d" % (nu, c // g))
+                else:
+                    lines.append("%s %d/%d" % (nu, c // g, den // g))
         return "\n".join(lines) + "\n"
 
     def save(self, path):
@@ -328,14 +346,16 @@ class DTable:
 
     @classmethod
     def loads(cls, data):
-        """Parse the file form.  A block header is exactly ``n=N r=R
-        terms=T``; it must be followed by exactly T coefficient lines and
-        the data must end in a newline, so a truncated file is rejected
-        instead of loading as a smaller block.  Headers without a term
-        count still load.  Any other header, a repeated (n, r) header, a
-        partition repeated within a block or with more than n rows, a
-        coefficient line before the first header and a zero denominator are
-        rejected too."""
+        """Parse the file form straight into bead views.  A block header is
+        exactly ``n=N r=R terms=T``; it must be followed by exactly T
+        coefficient lines and the data must end in a newline, so a truncated
+        file is rejected instead of loading as a smaller block.  Headers
+        without a term count still load.  Any other header, a repeated
+        (n, r) header, a partition repeated within a block or with more than
+        n rows or of the wrong weight, a coefficient line before the first
+        header and a zero denominator are rejected too.  A coefficient
+        ``p/q`` need not be reduced, and a zero one counts as a line but
+        stores no term."""
         lines = data.splitlines()
         if not lines or lines[0] != FILE_HEADER:
             raise ValueError("unrecognized table header")
@@ -343,16 +363,17 @@ class DTable:
             raise ValueError("truncated table: no final newline")
         table = cls()
         cur = want = None
-        coeffs = {}
+        pending = {}  # beta -> (numerator, denominator) of the current block
 
         def flush():
             if cur is None:
                 return
-            if want is not None and want != len(coeffs):
+            if want is not None and want != len(pending):
                 raise ValueError(
-                    "block (r=%d, n=%d) has %d of %d terms" % (cur + (len(coeffs), want))
+                    "block (r=%d, n=%d) has %d of %d terms" % (cur + (len(pending), want))
                 )
-            table.put(cur[0], cur[1], coeffs)
+            den = math.lcm(*(q for _, q in pending.values()))
+            table.views[cur] = bead_view(den, {b: p * (den // q) for b, (p, q) in pending.items()})
 
         for lineno, line in enumerate(lines[1:], start=2):
             line = line.strip()
@@ -367,23 +388,26 @@ class DTable:
                     raise ValueError("line %d: malformed block header %r" % (lineno, line))
                 n, r, *count = (int(v) for _, _, v in toks)
                 cur = (r, n)
-                if cur in table.blocks:
+                if cur in table.views:
                     raise ValueError("line %d repeats block (r=%d, n=%d)" % ((lineno,) + cur))
+                _check_index(r, n)
+                weight = degree_rn(r, n)
                 want = count[0] if count else None
                 table.counted = table.counted and bool(count)
-                coeffs = {}
+                pending = {}
             else:
                 if cur is None:
                     raise ValueError("line %d: coefficient before any block header" % lineno)
                 ptok, vtok = line.split()
                 nu = parse_partition(ptok)
-                if nu in coeffs:
+                beta = _checked_beads(nu, weight, *cur)
+                if beta in pending:
                     raise ValueError(
                         "line %d repeats partition %s in block (r=%d, n=%d)"
                         % ((lineno, format_partition(nu)) + cur)
                     )
                 try:
-                    coeffs[nu] = rat_from_str(vtok)
+                    pending[beta] = _ratio(vtok)
                 except ZeroDivisionError:
                     raise ValueError("line %d: zero denominator in %r" % (lineno, line)) from None
         flush()
@@ -395,4 +419,27 @@ class DTable:
             return cls.loads(fh.read())
 
     def __eq__(self, other):
-        return isinstance(other, DTable) and self.blocks == other.blocks
+        return isinstance(other, DTable) and self.views == other.views
+
+
+def _ratio(text):
+    """(p, q), q > 0, of a coefficient p/q or p as a Fraction reads it, not
+    reduced: the canonical forms in integers, any other through Fraction."""
+    num, slash, den = text.partition("/")
+    if (num[1:] if num[:1] in "+-" else num).isdecimal() and (not slash or den.isdecimal()):
+        q = int(den) if slash else 1
+        if not q:
+            raise ZeroDivisionError(text)
+        return int(num), q
+    v = Rat(text)
+    return v.numerator, v.denominator
+
+
+def _checked_beads(nu, weight, r, n):
+    """The beta numbers of the trimmed partition nu in block (r, n) of the
+    given weight; ValueError if nu cannot occur there."""
+    if sum(nu) != weight:
+        raise ValueError("coefficient at weight %d in block (r=%d, n=%d)" % (sum(nu), r, n))
+    if len(nu) > n:
+        raise ValueError("partition %s has more than %d rows" % (format_partition(nu), n))
+    return hook_numbers(nu, n)

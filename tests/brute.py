@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: direct tableau enumeration,
 permutation sums, exponent-level polynomial division, rows of K^{-1} by a
-walk over rearrangements, DVV recursions pivoted on the largest index.
+walk over rearrangements, DVV recursions pivoted on the largest index,
+partitions enumerated by one generator per row.
 None of it shares code with the production paths, except that the
 formula-level references at the end (H^{-1} of elementary products, the
 unpruned bootstrap) are assembled from the library's whole Kostka columns,
@@ -55,6 +56,29 @@ from wkintersect.sympoly import (
     kostka_column,
     shape_of_beads,
 )
+
+
+def enumerate_partitions_recursive(d, max_rows, min_part=1, max_part=None):
+    """The partitions of d with at most max_rows rows and parts within
+    [min_part, max_part], reverse-lexicographic, by one generator per row:
+    each level tries every first part from the largest down."""
+    if d < 0:
+        return
+    if max_part is None or max_part > d:
+        max_part = d
+
+    def rec(remaining, rows_left, cap):
+        if remaining == 0:
+            yield ()
+            return
+        if rows_left == 0 or cap < min_part or remaining < min_part:
+            return
+        top = min(cap, remaining)
+        for first in range(top, min_part - 1, -1):
+            for rest in rec(remaining - first, rows_left - 1, first):
+                yield (first,) + rest
+
+    yield from rec(d, max_rows, max_part)
 
 
 def ssyt_count(shape, content):

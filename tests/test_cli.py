@@ -161,7 +161,7 @@ def test_elo_detects_poisoned_cache(tmp_path):
     run_cli(["dtable", "-n", "4", "--r-max", "1"], tmp_path)
     path = tmp_path / "dtable.txt"
     table = DTable.load(path)
-    table.blocks[(1, 4)][(2, 2)] = 1  # e[2,2] breaks len(nu) <= r = 1
+    table.put(1, 4, {**table.get(1, 4), (2, 2): 1})  # e[2,2] breaks len(nu) <= r = 1
     table.save(path)
     code, out = run_cli(["elo", "-n", "4", "--r-max", "1"], tmp_path)
     assert code == cli.EXIT_MISMATCH == 1

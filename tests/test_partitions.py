@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
-from brute import count_exact_length
+from brute import count_exact_length, enumerate_partitions_recursive
 from wkintersect.cli import _count_exact_length
 from wkintersect.pengine import r_max
 from wkintersect.partitions import (
+    count_partitions,
     dominates,
     enumerate_partitions,
     format_partition,
@@ -101,6 +102,35 @@ def test_enumeration_count_bound_and_brute_force():
             got = len(list(enumerate_partitions(d, n)))
             assert got == _brute(d, n, d)
             assert got <= math.factorial(d + n) // (math.factorial(n) * math.factorial(d))
+
+
+def _bounds(d):
+    # every (min_part, max_part) pair up to d = 16, a spread of them beyond
+    if d <= 16:
+        return [(low, cap) for low in range(d + 2) for cap in [None] + list(range(d + 2))]
+    return [(low, cap) for low in (1, 2, d // 2, d + 1) for cap in (None, 2, d // 3, d // 2, d - 1)]
+
+
+def test_enumeration_matches_the_recursive_reference():
+    # the one-list walk yields the reference's sequence under the bounds
+    for d in range(31):
+        for rows in range(9):
+            for low, cap in _bounds(d):
+                got = list(enumerate_partitions(d, rows, low, cap))
+                assert got == list(enumerate_partitions_recursive(d, rows, low, cap)), (
+                    d, rows, low, cap)
+
+
+def test_count_partitions_matches_the_enumeration():
+    for d in range(41):
+        for n in range(10):
+            size = sum(1 for _ in enumerate_partitions(d, n))
+            assert count_partitions(d, n, size) == size, (d, n)
+            if size > 1:
+                # past the limit only the excess is certain
+                assert count_partitions(d, n, size - 1) > size - 1, (d, n)
+    assert count_partitions(-1, 3, 10) == 0
+    assert count_partitions(1497, 1500, 20000) > 20000
 
 
 def test_enumeration_uniqueness():

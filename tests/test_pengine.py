@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import time
@@ -13,13 +14,21 @@ from wkintersect.partitions import partition_class
 from wkintersect.pengine import (
     MAX_CLASS_SIZE,
     DTable,
+    block_terms,
     bootstrap_all,
     box_width,
     degree_rn,
     direct_p,
     r_max,
 )
-from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly, power_sum_times_schur
+from wkintersect.sympoly import (
+    ELEMENTARY,
+    MONOMIAL,
+    SCHUR,
+    SymPoly,
+    power_sum_times_schur,
+    runner_counts,
+)
 
 
 def as_terms(golden):
@@ -81,10 +90,11 @@ def test_default_bootstrap_n7_matches_unpruned_bootstrap():
     # unpruned ribbons of the full A_{g,7}, beyond the golden tables
     every = bootstrap_all(6, 7)
     want = bootstrap_unpruned(6, 7, lambda g: oracle.a_gn_oracle(g, 7))
-    assert {r: p.terms for r, p in every.items()} == want
+    assert {r: block_terms(view) for r, view in every.items()} == want
 
 
 N7_TABLE = os.path.join(os.path.dirname(__file__), "dtable_n7.txt")
+BENCH_TABLE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "dtable_n3-6.txt")
 
 
 @pytest.mark.extended
@@ -109,29 +119,40 @@ def test_tau_n7_matches_the_recursion():
     assert intersect.tau(12, d, table) == oracle.virasoro_tau(12, d)
 
 
-def test_n7_table_obeys_the_string_identity(dtable):
-    # P_{r,7} at u_7 = 0 is e_1 * P_{r,6}, with P_{r,6} = 0 for r > r_max(6):
-    # every Schur coefficient of a shape with fewer than 7 rows is the sum of
-    # the P_{r,6} coefficients over the shapes one box smaller (one Pieri
-    # step, written here so that the two table routes share no code)
-    dtable.ensure_upto(r_max(6), 6)
-    seven = DTable.load(N7_TABLE)
-    for r in range(r_max(7) + 1):
-        got = {mu: c for mu, c in seven.get(r, 7).items() if len(mu) < 7}
+def _assert_string_identity(big, small, n):
+    # P_{r,n} at u_n = 0 is e_1 * P_{r,n-1}, with P_{r,n-1} = 0 for
+    # r > r_max(n-1): every Schur coefficient of a shape with fewer than n
+    # rows is the sum of the P_{r,n-1} coefficients over the shapes one box
+    # smaller (one Pieri step, written here so that the two table routes
+    # share no code), and beyond r_max(n-1) every shape has n rows
+    for r in range(r_max(n) + 1):
+        got = {mu: c for mu, c in big.get(r, n).items() if len(mu) < n}
         want = {}
-        if r <= r_max(6):
-            for nu, c in dtable.get(r, 6).items():
+        if r <= r_max(n - 1):
+            for nu, c in small.get(r, n - 1).items():
                 rows = nu + (0,)
                 for i in range(len(rows)):
                     if i == 0 or rows[i - 1] > rows[i]:
                         mu = tuple(p for p in rows[:i] + (rows[i] + 1,) + rows[i + 1:] if p)
                         want[mu] = want.get(mu, 0) + c
-        assert got == {mu: c for mu, c in want.items() if c and len(mu) < 7}, r
+        assert got == {mu: c for mu, c in want.items() if c and len(mu) < n}, (n, r)
+
+
+def test_n7_table_obeys_the_string_identity(dtable):
+    dtable.ensure_upto(r_max(6), 6)
+    _assert_string_identity(DTable.load(N7_TABLE), dtable, 7)
+
+
+def test_tables_obey_the_string_identity(dtable):
+    for n in (3, 4, 5, 6):
+        dtable.ensure_upto(r_max(n), n)
+        if n > 3:
+            _assert_string_identity(dtable, dtable, n)
 
 
 def test_put_drops_the_bead_view():
-    # tau reads each block through an integer view built on first use; a
-    # block replaced through put must be read afresh
+    # tau reads each block through its bead view; a block replaced through
+    # put is read as replaced
     g, d = 3, (4, 3, 2, 1)
     table = DTable()
     first = intersect.tau(g, d, table)
@@ -195,7 +216,7 @@ def test_production_path_runs_no_direct_route_code(monkeypatch):
     oracle.clear_memo()
     every = bootstrap_all(3, 4)
     for r in range(4):
-        assert every[r].terms == as_terms(TABLE_SCHUR[(r, 4)]), r
+        assert block_terms(every[r]) == as_terms(TABLE_SCHUR[(r, 4)]), r
     table = DTable()
     for g, d in ((2, (3, 2, 1, 1)), (2, (7, 0, 0, 0)), (3, (3, 3, 2, 1, 0))):
         assert intersect.tau(g, d, table) == oracle.virasoro_tau(g, d), (g, d)
@@ -210,8 +231,6 @@ def test_genus_independence_overdetermined(dtable):
     # blocks assembled from genus <= r data must also satisfy the defining
     # identity 24^g H(A_{g,n}) = sum_r 12^r/(g-r)! p3^(g-r) P_{r,n} at
     # unused higher genera
-    import math
-
     n = 4
     dtable.ensure_upto(r_max(n), n)
     hop = HContext(n)
@@ -271,6 +290,64 @@ def test_dtable_round_trip(tmp_path, dtable):
     assert loaded.blocks == {k: v for k, v in dtable.blocks.items()}
     loaded.save(path)
     assert path.read_bytes() == data1
+
+
+def test_a_block_has_one_view_whatever_its_route():
+    # the bootstrap, a load of its file and a put of its blocks store the
+    # same canonical view (den the lcm of the reduced denominators) and
+    # write the same bytes
+    built = DTable()
+    built.ensure_upto(r_max(5), 5)
+    text = built.dumps()
+    loaded = DTable.loads(text)
+    again = DTable()
+    for (r, n), block in built.blocks.items():
+        again.put(r, n, block)
+    assert loaded.views == built.views == again.views
+    assert loaded.dumps() == again.dumps() == text
+    fresh = bootstrap_all(r_max(5), 5)
+    for (r, n), (den, ints, cores) in built.views.items():
+        assert fresh[r] == built.views[(r, n)]
+        assert den == math.lcm(*(v.denominator for v in built.get(r, n).values())), r
+        assert cores == {runner_counts(beta) for beta in ints}
+
+
+def test_dtable_loads_unreduced_and_zero_coefficients():
+    # 2/4 loads as 1/2 and a zero line as no term; the header's count still
+    # counts the lines, and the forms a Fraction reads beyond p/q still load
+    data = "# dtable v1\nn=3 r=1 terms=2\n1,1,1 2/4\n2,1 0\n"
+    table = DTable.loads(data)
+    assert table.get(1, 3) == {(1, 1, 1): Rat(1, 2)}
+    assert table.views[(1, 3)] == (2, {(3, 2, 1): 1}, {(1, 1, 1)})
+    assert table.dumps() == "# dtable v1\nn=3 r=1 terms=1\n1,1,1 1/2\n"
+    with pytest.raises(ValueError, match="has 2 of 1 terms"):
+        DTable.loads(data.replace("terms=2", "terms=1"))
+    assert DTable.loads(data.replace("2/4", "0.5")) == table
+
+
+def test_n7_file_round_trips():
+    with open(N7_TABLE, encoding="ascii") as fh:
+        text = fh.read()
+    assert DTable.loads(text).dumps() == text
+
+
+def test_queries_on_a_loaded_table_convert_no_block(monkeypatch):
+    # tau, a_gn and w_gn read the views a load stores: nothing turns a
+    # block into partitions and Rats, or back into beads, on the way
+    table = DTable.load(BENCH_TABLE)
+    taus = [(3, (4, 3, 2, 1)), (6, (8, 6, 4, 2, 0)), (5, (18, 0, 0, 0, 0, 0))]
+    want_tau = [oracle.virasoro_tau(g, d) for g, d in taus]
+    want_a = oracle.a_gn_oracle(3, 5)
+    want_w = oracle.a_gn_oracle(2, 4).terms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query converted a table block")
+
+    for name in ("hook_numbers", "runner_counts", "shape_of_beads", "Rat"):
+        monkeypatch.setattr(pengine, name, refuse)
+    assert [intersect.tau(g, d, table) for g, d in taus] == want_tau
+    assert intersect.a_gn(3, 5, MONOMIAL, table) == want_a
+    assert intersect.w_gn(2, 4, table).intersection_numbers() == want_w
 
 
 def test_dtable_header_validation(tmp_path):
