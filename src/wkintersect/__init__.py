@@ -6,18 +6,16 @@ independent Virasoro-recursion oracle; everything is exact rational
 arithmetic end to end.
 """
 
-from .rational import Rat, factorial, double_factorial_odd, gamma_half_ratio
-from .partitions import dominates, enumerate_partitions, transpose
+from .rational import Rat
+from .partitions import enumerate_partitions, transpose
 from .sympoly import (
     ELEMENTARY,
     MONOMIAL,
     SCHUR,
     SymPoly,
-    inverse_kostka,
-    kostka,
     power_sum_times_schur,
 )
-from .hop import HContext, barnes_constant, n_factor
+from .hop import HContext, barnes_constant
 from .pengine import DTable, direct_p, degree_rn, r_max
 from .intersect import Correlator, a_gn, q_coeff, tau, w_gn
 from .oracle import a_gn_oracle, series_reference, virasoro_tau
@@ -38,14 +36,7 @@ __all__ = [
     "barnes_constant",
     "degree_rn",
     "direct_p",
-    "dominates",
-    "double_factorial_odd",
     "enumerate_partitions",
-    "factorial",
-    "gamma_half_ratio",
-    "inverse_kostka",
-    "kostka",
-    "n_factor",
     "power_sum_times_schur",
     "q_coeff",
     "r_max",

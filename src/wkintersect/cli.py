@@ -101,31 +101,33 @@ def cmd_dtable(args, out):
     r_top = args.r_max if args.r_max is not None else r_max(args.n)
     if not 0 <= r_top <= r_max(args.n):
         raise ValueError("component bound %d out of range for n=%d" % (r_top, args.n))
-    try:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        path = cache_file(args)
-        table = DTable.load(path) if os.path.exists(path) else DTable()
-    except (OSError, ValueError) as exc:
-        sys.stderr.write("cache error: %s\n" % (exc,))
-        return EXIT_IO
-    table.ensure_upto(r_top, args.n)
+    path = cache_file(args)
     try:
         import fcntl
 
-        lock_path = path + ".lock"
-        with open(lock_path, "w") as lock:
+        os.makedirs(args.cache_dir, exist_ok=True)
+        lock = open(path + ".lock", "wb")
+    except OSError as exc:
+        sys.stderr.write("cache error: %s\n" % (exc,))
+        return EXIT_IO
+    with lock:
+        # the whole load, build and save runs under the lock, so a concurrent
+        # writer waits and then loads these blocks with its own
+        try:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            # another writer may have saved since the load above: keep its blocks
-            if os.path.exists(path):
-                for key, view in DTable.load(path).views.items():
-                    table.views.setdefault(key, view)
-            table.counted = True
-            tmp = path + ".tmp"
+            table = DTable.load(path) if os.path.exists(path) else DTable()
+        except (OSError, ValueError) as exc:
+            sys.stderr.write("cache error: %s\n" % (exc,))
+            return EXIT_IO
+        table.ensure_upto(r_top, args.n)
+        table.counted = True
+        tmp = path + ".tmp"
+        try:
             table.save(tmp)
             os.replace(tmp, path)
-    except (OSError, ValueError) as exc:
-        sys.stderr.write("cannot write %s: %s\n" % (path, exc))
-        return EXIT_IO
+        except OSError as exc:
+            sys.stderr.write("cannot write %s: %s\n" % (path, exc))
+            return EXIT_IO
     out.write("wrote %s (%d blocks)\n" % (path, len(table.views)))
     return EXIT_OK
 

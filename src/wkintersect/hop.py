@@ -32,7 +32,6 @@ input) is a test oracle and lives with the tests.
 import math
 
 from .rational import Rat, double_factorial_odd_int
-from .partitions import ptrim
 from . import sympoly
 from .sympoly import MONOMIAL, SCHUR, SymPoly
 
@@ -52,16 +51,6 @@ def _dden(lam):
     for row in lam:
         v *= double_factorial_odd_int(2 * row + 1)
     return v
-
-
-def n_factor(mu, lam):
-    """The weight N_{mu,lam}, from its telescoped product form (exact,
-    independent of the ambient number of rows)."""
-    mu = ptrim(mu)
-    lam = ptrim(lam)
-    if sum(mu) != sum(lam):
-        raise ValueError("N factor needs equal weights: %r vs %r" % (mu, lam))
-    return Rat(_gnum(mu), _dden(lam))
 
 
 def barnes_constant(n):

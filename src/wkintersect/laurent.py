@@ -25,7 +25,6 @@ that need it (e_1 in the series, the Vandermonde in the tests).
 """
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from operator import add
 
@@ -100,22 +99,6 @@ class LaurentPoly:
         return LaurentPoly(
             self.n, {tuple(e + doubled for e in k): v for k, v in self.terms.items()}, self.den
         )
-
-    def evaluate(self, point):
-        """The exact value at a point of rationals; every exponent must be
-        even (an integer power)."""
-        if len(point) != self.n:
-            raise ValueError("point length %d != %d variables" % (len(point), self.n))
-        point = [Fraction(x) for x in point]
-        total = 0
-        for k, v in self.terms.items():
-            if any(e % 2 for e in k):
-                raise ValueError("half-integer power %r has no rational value" % (k,))
-            for x, e in zip(point, k):
-                if e:
-                    v *= x ** (e // 2)
-            total += v
-        return Fraction(total) / self.den
 
     def divide_exact(self, divisor):
         """The polynomial quotient by a divisor whose lex-leading coefficient

@@ -1,5 +1,5 @@
-"""Integer partitions: dominance order, transpose, hook numbers, symmetry
-factors and constrained enumeration.
+"""Integer partitions: transpose, hook numbers, symmetry factors and
+constrained enumeration.
 
 Partitions are trimmed tuples (weakly decreasing, no trailing zeros);
 the ambient number of rows ``n`` is passed where a quantity depends on
@@ -34,22 +34,6 @@ def transpose(lam):
     for i in range(1, lam[0] + 1):
         out.append(sum(1 for x in lam if x >= i))
     return tuple(out)
-
-
-def dominates(lam, mu):
-    """Dominance order: every leading partial sum of lam >= that of mu.
-
-    Comparisons across unequal weights return False.
-    """
-    if sum(lam) != sum(mu):
-        return False
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
 
 
 def hook_numbers(lam, n):

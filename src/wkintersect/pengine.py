@@ -340,8 +340,9 @@ class DTable:
         return "\n".join(lines) + "\n"
 
     def save(self, path):
-        data = self.dumps()
-        with open(path, "w", encoding="ascii") as fh:
+        # bytes, so that no process that touches a cache imports a codec
+        data = self.dumps().encode("ascii")
+        with open(path, "wb") as fh:
             fh.write(data)
 
     @classmethod
@@ -353,9 +354,9 @@ class DTable:
         without a term count still load.  Any other header, a repeated
         (n, r) header, a partition repeated within a block or with more than
         n rows or of the wrong weight, a coefficient line before the first
-        header and a zero denominator are rejected too.  A coefficient
-        ``p/q`` need not be reduced, and a zero one counts as a line but
-        stores no term."""
+        header, one that is not a partition and a coefficient, and a zero
+        denominator are rejected too.  A coefficient ``p/q`` need not be
+        reduced, and a zero one counts as a line but stores no term."""
         lines = data.splitlines()
         if not lines or lines[0] != FILE_HEADER:
             raise ValueError("unrecognized table header")
@@ -398,25 +399,31 @@ class DTable:
             else:
                 if cur is None:
                     raise ValueError("line %d: coefficient before any block header" % lineno)
-                ptok, vtok = line.split()
-                nu = parse_partition(ptok)
-                beta = _checked_beads(nu, weight, *cur)
+                try:
+                    ptok, vtok = line.split()
+                    nu = parse_partition(ptok)
+                    value = _ratio(vtok)
+                except ValueError:
+                    raise ValueError("line %d: malformed coefficient line %r" % (lineno, line)) from None
+                except ZeroDivisionError:
+                    raise ValueError("line %d: zero denominator in %r" % (lineno, line)) from None
+                try:
+                    beta = _checked_beads(nu, weight, *cur)
+                except ValueError as exc:
+                    raise ValueError("line %d: %s" % (lineno, exc)) from None
                 if beta in pending:
                     raise ValueError(
                         "line %d repeats partition %s in block (r=%d, n=%d)"
                         % ((lineno, format_partition(nu)) + cur)
                     )
-                try:
-                    pending[beta] = _ratio(vtok)
-                except ZeroDivisionError:
-                    raise ValueError("line %d: zero denominator in %r" % (lineno, line)) from None
+                pending[beta] = value
         flush()
         return table
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.loads(fh.read())
+        with open(path, "rb") as fh:
+            return cls.loads(fh.read().decode("ascii"))
 
     def __eq__(self, other):
         return isinstance(other, DTable) and self.views == other.views

@@ -32,7 +32,7 @@ of ``elementary_integers``, one column per emitted coefficient subtracted
 from a bead-keyed residual.  Both run on integers, wrapped like the m and
 s changes.
 
-Products and values go through the expansion into the integer
+Products go through the expansion into the integer
 :class:`~wkintersect.laurent.LaurentPoly` (``to_exponent_poly``, every
 exponent doubled) and the collection back into the monomial basis
 (``from_exponent_poly``); no table or query path multiplies two SymPolys.
@@ -47,12 +47,11 @@ classes of :func:`partition_class` (an ``lru_cache`` with one entry per
 import math
 from itertools import combinations, permutations
 
-from .rational import RAT_ONE, RAT_ZERO, Rat, rat_from_str
+from .rational import RAT_ONE, RAT_ZERO, Rat
 from .partitions import (
     enumerate_partitions,
     format_partition,
     hook_numbers,
-    parse_partition,
     partition_class,
     ptrim,
     transpose,
@@ -161,35 +160,9 @@ def dual_kostka_column(content, nrows):
     return col
 
 
-def kostka(mu, lam):
-    """Kostka number K_{mu,lam}: semistandard tableaux of shape mu and
-    weight lam.  Zero unless mu >= lam in dominance; K_{mu,mu} = 1."""
-    mu = ptrim(mu)
-    lam = ptrim(lam)
-    if sum(mu) != sum(lam):
-        raise ValueError("Kostka number needs equal weights: %r vs %r" % (mu, lam))
-    nrows = max(len(lam), 1)
-    if len(mu) > nrows:
-        return 0
-    return kostka_column(lam, nrows).get(hook_numbers(mu, nrows), 0)
-
-
-def inverse_kostka(lam, mu):
-    """Entry S_{lam,mu} of the inverse Kostka matrix (integer), the s_mu
-    coefficient of m_lam; it does not depend on the number of rows once
-    both partitions fit."""
-    lam = ptrim(lam)
-    mu = ptrim(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("inverse Kostka needs equal weights: %r vs %r" % (lam, mu))
-    nrows = max(len(lam), len(mu), 1)
-    code = _multiset_code(lam + (0,) * (nrows - len(lam)), nrows)
-    return _alternant_coefficient({code: 1}, mu, nrows)
-
-
 def clear_caches():
     """Drop the memoized partition classes, the one memo the formula path
-    keeps between calls (used by benchmarks and tests)."""
+    keeps between calls (the tests call it to measure a cold question)."""
     partition_class.cache_clear()
 
 
@@ -415,22 +388,7 @@ class SymPoly:
     def basis_element(cls, basis, lam, n):
         return cls(n, basis, {ptrim(lam): RAT_ONE})
 
-    @classmethod
-    def power_sum(cls, k, n):
-        """p_k as a monomial-basis SymPoly."""
-        return cls(n, MONOMIAL, {(k,): RAT_ONE}) if k else cls.one(n)
-
-    @classmethod
-    def complete_homogeneous(cls, k, n):
-        """h_k = sum of all monomials of degree k."""
-        if k < 0:
-            return cls.zero(n)
-        return cls(n, MONOMIAL, {lam: RAT_ONE for lam in partition_class(k, n)})
-
     # -- ring-ish operations -------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def __add__(self, other):
         if self.n != other.n:
@@ -451,12 +409,6 @@ class SymPoly:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        c = Rat(c)
-        if not c:
-            return SymPoly.zero(self.n, self.basis)
-        return SymPoly._make(self.n, self.basis, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         """Exact product, returned in the monomial basis."""
@@ -532,9 +484,6 @@ class SymPoly:
             raise ValueError("polynomial is not symmetric")
         return cls(n, MONOMIAL, {lam: Rat(v, poly.den) for lam, v in reps.items()})
 
-    def evaluate(self, point):
-        return self.to_exponent_poly().evaluate(point)
-
     def specialize_last_to_zero(self):
         """Set the last variable to zero, landing in n-1 variables."""
         if self.n < 2:
@@ -576,23 +525,6 @@ class SymPoly:
             out = elementary_integers(dict(items), n)
         return SymPoly._make(n, target, {k: Rat(c, den) for k, c in out.items()})
 
-    # -- inner product ----------------------------------------------------
-
-    def schur_inner(self, other):
-        """Schur scalar product <p, q>; Schur polynomials are orthonormal."""
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        a = self.change_basis(SCHUR).terms
-        b = other.change_basis(SCHUR).terms
-        if len(a) > len(b):
-            a, b = b, a
-        total = RAT_ZERO
-        for k, v in a.items():
-            w = b.get(k)
-            if w:
-                total += v * w
-        return total
-
     # -- textual form ------------------------------------------------------
 
     def text(self):
@@ -601,25 +533,6 @@ class SymPoly:
         for k in sorted(self.terms, reverse=True):
             lines.append("%s[%s] %s" % (self.basis, format_partition(k), self.terms[k]))
         return "\n".join(lines)
-
-    @classmethod
-    def parse(cls, text, n):
-        terms = {}
-        basis = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            head, val = line.rsplit(None, 1)
-            b, rest = head[0], head[1:]
-            if basis is None:
-                basis = b
-            elif basis != b:
-                raise ValueError("mixed bases in textual form")
-            if not (rest.startswith("[") and rest.endswith("]")):
-                raise ValueError("malformed term %r" % (line,))
-            terms[parse_partition(rest[1:-1])] = rat_from_str(val)
-        return cls(n, basis or MONOMIAL, terms)
 
 
 # ---------------------------------------------------------------------------

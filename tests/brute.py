@@ -19,6 +19,13 @@ elementary basis), and the all-genus determinant ``wn_det_truncated``,
 which reads the ``DTable`` blocks and expands its determinant by ``SymPoly``
 products (``_sym_laplace_det``) before returning ``Correlator`` tables.
 
+The small tools that these references and the tests use but no production
+path needs come first: the dominance order ``dominates``, the half-integer
+Gamma ratio ``gamma_half_ratio`` of the determinant's entries and of the
+``w_gn`` weights, ``complete_homogeneous`` and ``scale`` for ``SymPoly``s,
+and ``evaluate``, the exact value of a ``SymPoly`` or ``LaurentPoly`` at
+a rational point.
+
 ``build_parser`` is the argparse parser of the ``wk`` command line from
 before its one table of commands, kept as the reference that
 ``cli.parse_args`` is compared against.
@@ -42,7 +49,7 @@ from wkintersect.cli import (
     cmd_verify,
     default_cache_dir,
 )
-from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat, gamma_half_ratio
+from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat
 from wkintersect.partitions import enumerate_partitions, hook_numbers, partition_class, ptrim
 from wkintersect.hop import _dden, _gnum, barnes_constant
 from wkintersect.intersect import Correlator
@@ -56,6 +63,78 @@ from wkintersect.sympoly import (
     kostka_column,
     shape_of_beads,
 )
+
+
+def dominates(lam, mu):
+    """Dominance order: every leading partial sum of lam >= that of mu.
+
+    Comparisons across unequal weights return False.
+    """
+    if sum(lam) != sum(mu):
+        return False
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return True
+
+
+def gamma_half_ratio(a_num, shift):
+    """Gamma(a_num/2 + shift) / Gamma(a_num/2), exactly.
+
+    a_num must be odd so the argument is a genuine half-integer and the
+    ratio telescopes to the rational product prod_{j=0}^{shift-1} (a_num/2 + j)
+    (reciprocal product for negative shift).  Never hits a Gamma pole.
+    """
+    if a_num % 2 == 0:
+        raise ValueError("numerator must be odd, got %r" % (a_num,))
+    if shift >= 0:
+        num = 1
+        for j in range(shift):
+            num *= a_num + 2 * j
+        return Rat(num, 1 << shift) if shift else RAT_ONE
+    m = -shift
+    den = 1
+    for j in range(1, m + 1):
+        den *= a_num - 2 * j
+    return Rat(1 << m, den)
+
+
+def complete_homogeneous(k, n):
+    """h_k = sum of all monomials of degree k, in the monomial basis."""
+    if k < 0:
+        return SymPoly.zero(n)
+    return SymPoly(n, MONOMIAL, {lam: RAT_ONE for lam in partition_class(k, n)})
+
+
+def scale(poly, c):
+    """c times a SymPoly, in its basis."""
+    c = Rat(c)
+    if not c:
+        return SymPoly.zero(poly.n, poly.basis)
+    return SymPoly._make(poly.n, poly.basis, {k: c * v for k, v in poly.terms.items()})
+
+
+def evaluate(poly, point):
+    """The exact value of a SymPoly or a LaurentPoly at a point of
+    rationals; every exponent of the LaurentPoly must be even (an integer
+    power of u)."""
+    if isinstance(poly, SymPoly):
+        poly = poly.to_exponent_poly()
+    if len(point) != poly.n:
+        raise ValueError("point length %d != %d variables" % (len(point), poly.n))
+    point = [Fraction(x) for x in point]
+    total = 0
+    for k, v in poly.terms.items():
+        if any(e % 2 for e in k):
+            raise ValueError("half-integer power %r has no rational value" % (k,))
+        for x, e in zip(point, k):
+            if e:
+                v *= x ** (e // 2)
+        total += v
+    return Fraction(total) / poly.den
 
 
 def enumerate_partitions_recursive(d, max_rows, min_part=1, max_part=None):
@@ -252,7 +331,7 @@ def jacobi_trudi_schur(lam, n):
     rows = []
     for i in range(n):
         rows.append(
-            [SymPoly.complete_homogeneous(L[i] - (n - 1 - j), n) for j in range(n)]
+            [complete_homogeneous(L[i] - (n - 1 - j), n) for j in range(n)]
         )
     return _sym_laplace_det(rows)
 
@@ -274,7 +353,7 @@ def _sym_laplace_det(rows):
         total = SymPoly.zero(nvars, MONOMIAL)
         for idx, j in enumerate(cols):
             entry = rows[i][j]
-            if entry.is_zero():
+            if not entry.terms:
                 continue
             term = entry * rec(cols[:idx] + cols[idx + 1 :])
             total = total + (term if idx % 2 == 0 else -term)
@@ -622,10 +701,10 @@ def wn_det_truncated(n, g_max, dtable=None):
                             continue
                         gam = gamma_half_ratio(5 - 2 * i, li - n + 3 * k + i)
                         c = gam / (math.factorial(k) * Rat(12) ** k)
-                        entry = entry + SymPoly.complete_homogeneous(deg, n).scale(c)
+                        entry = entry + scale(complete_homogeneous(deg, n), c)
                     row.append(entry)
                 rows.append(row)
-            acc = acc + _sym_laplace_det(rows).scale(dv)
+            acc = acc + scale(_sym_laplace_det(rows), dv)
     out = {}
     for g in range(g_max + 1):
         d = degree_rn(g, n)

@@ -14,7 +14,7 @@ import pytest
 from brute import h_raw, inverse_kostka_row, trace_shift_invariance, wn_det_truncated
 from golden_tables import TABLE_COUNTS, TABLE_E6, TABLE_ELEMENTARY, TABLE_SCHUR
 from wkintersect import cli, oracle
-from wkintersect.rational import Rat, rat_from_str
+from wkintersect.rational import Rat
 from wkintersect.hop import HContext
 from wkintersect.intersect import q_coeff, tau, a_gn, w_gn
 from wkintersect.partitions import (
@@ -36,7 +36,7 @@ import random
 
 
 def as_terms(golden):
-    return {k: rat_from_str(v) for k, v in golden.items()}
+    return {k: Rat(v) for k, v in golden.items()}
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +80,7 @@ def test_criterion_2_elementary_tables(dtable, cli_cache):
         got = {}
         for line in out.splitlines():
             head, val = line.split()
-            got[parse_partition(head[2:-1])] = rat_from_str(val)
+            got[parse_partition(head[2:-1])] = Rat(val)
         assert got == as_terms(TABLE_E6[r]), ("n=6", r)
     # share the blocks with the session table for later criteria
     from wkintersect.pengine import DTable
@@ -203,7 +203,7 @@ def test_criterion_7_property_suite(dtable):
 
     # gated determinant equals the inner product <p3^k s_nu, s_mu> / k!
     for n in (3, 4):
-        p3 = SymPoly.power_sum(3, n)
+        p3 = SymPoly(n, MONOMIAL, {(3,): 1})
         for dmu in range(0, 13):
             for k in range(0, dmu // 3 + 1):
                 dnu = dmu - 3 * k

@@ -182,6 +182,33 @@ def test_concurrent_dtable_writers_keep_both_block_sets(tmp_path):
     assert set(table.blocks) == want
 
 
+def test_dtable_parses_an_existing_cache_once(tmp_path, monkeypatch):
+    assert run_cli(["dtable", "-n", "4"], tmp_path)[0] == 0
+    parsed = []
+    loads = DTable.loads.__func__
+
+    def counting(cls, data):
+        parsed.append(len(data))
+        return loads(cls, data)
+
+    monkeypatch.setattr(DTable, "loads", classmethod(counting))
+    code, out = run_cli(["dtable", "-n", "5"], tmp_path)
+    assert code == 0 and out.endswith("(11 blocks)\n")
+    assert len(parsed) == 1
+
+
+def test_dtable_beyond_the_budget_is_a_domain_error(tmp_path, capsys):
+    # the admission budget refuses n = 8 before any build, also under the
+    # cache lock, where a cache error would be exit 3
+    t0 = time.perf_counter()
+    code, out = run_cli(["dtable", "-n", "8"], tmp_path)
+    assert time.perf_counter() - t0 < 1
+    assert code == cli.EXIT_DOMAIN == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_internal_limit_exit_code(tmp_path, capsys):
     code, out = run_cli(["tau", "--genus", "700", "--powers", "2098"], tmp_path)
     assert code == cli.EXIT_INTERNAL == 4
@@ -283,10 +310,16 @@ def test_malformed_cache_is_io_error(tmp_path):
         "# dtable v1\nn=4 r=2\n2,1,1,1,1,1 1/5\n",  # a partition with more than n rows
         "# dtable v1\nn=3 q=0\n- 1\n",  # a header field that is not r=
         "# dtable v1\nn=3 r=0 terms=1 x\n- 1\n",  # a trailing header token
+        "# dtable v1\nn=3 r=0 terms=1\n- 1 2\n",  # a coefficient line of three tokens
+        "# dtable v1\nn=3 r=0 terms=1\n-\n",  # ... of one token
+        "# dtable v1\nn=3 r=0 terms=1\nx 1\n",  # a partition that is not one
+        "# dtable v1\nn=3 r=0 terms=1\n1,a 1\n",  # ... with a part that is not a number
+        # an Arabic-Indic digit one: int() reads it, but it is not ASCII
+        "# dtable v1\nn=3 r=0 terms=1\n- \u0661\n",
     ],
 )
 def test_damaged_cache_is_io_error(tmp_path, data):
-    (tmp_path / "dtable.txt").write_text(data)
+    (tmp_path / "dtable.txt").write_text(data, encoding="utf-8")
     code, out = run_cli(["tau", "--genus", "0", "--powers", "0,0,0"], tmp_path)
     assert code == 3 and out == ""
     code, _ = run_cli(["dtable", "-n", "3", "--r-max", "0"], tmp_path)
@@ -448,15 +481,16 @@ def test_a_dash_value_goes_to_the_command(tmp_path, capsys):
 _MODULES_AFTER_CALLS = """
 import io, sys
 from wkintersect import cli
-for argv in (["tau", "--genus", "1", "--powers", "0,0,3"], ["dtable", "-n", "4"]):
+for argv in (["dtable", "-n", "4"], ["tau", "--genus", "1", "--powers", "0,0,3"]):
     assert cli.main(["--cache-dir", sys.argv[1]] + argv, out=io.StringIO()) == 0
-print(" ".join(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+print(" ".join(m for m in ("argparse", "gettext", "locale", "encodings.ascii") if m in sys.modules))
 """
 
 
 def test_calls_import_no_argument_parser(tmp_path):
     # argparse's set-up (and the locale module its first gettext call
-    # imports) was most of the cost of a small `wk` call
+    # imports) was most of the cost of a small `wk` call; the cache is read
+    # and written as bytes, so no call imports the ascii codec either
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(cli.__file__), os.pardir))
     res = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER_CALLS, str(tmp_path)],

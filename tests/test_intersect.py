@@ -6,8 +6,8 @@ import tracemalloc
 
 import pytest
 
-from brute import closed_a1n, laplace_det, wn_det_truncated
-from wkintersect.rational import Rat, gamma_half_ratio
+from brute import closed_a1n, dominates, gamma_half_ratio, laplace_det, wn_det_truncated
+from wkintersect.rational import Rat
 from wkintersect import hop, oracle, sympoly
 from wkintersect.hop import _dden, _gnum
 from wkintersect.intersect import (
@@ -18,7 +18,7 @@ from wkintersect.intersect import (
     w_gn,
     _bareiss_det,
 )
-from wkintersect.partitions import dominates, partition_class
+from wkintersect.partitions import partition_class
 from wkintersect.pengine import DTable, degree_rn, r_max
 from wkintersect.sympoly import (
     ELEMENTARY,
@@ -73,7 +73,7 @@ def test_q_coeff_is_inner_product_with_power_sum_cubes():
     # brute force through generic multiplication, independent of both the
     # determinant and the ribbon rule
     for n in (3, 4):
-        p3 = SymPoly.power_sum(3, n)
+        p3 = SymPoly(n, MONOMIAL, {(3,): 1})
         for dnu in range(0, 4):
             for nu in partition_class(dnu, n):
                 poly = SymPoly.basis_element(SCHUR, nu, n).change_basis(MONOMIAL)

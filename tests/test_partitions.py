@@ -3,12 +3,11 @@ from itertools import product
 
 import pytest
 
-from brute import count_exact_length, enumerate_partitions_recursive
+from brute import count_exact_length, dominates, enumerate_partitions_recursive
 from wkintersect.cli import _count_exact_length
 from wkintersect.pengine import r_max
 from wkintersect.partitions import (
     count_partitions,
-    dominates,
     enumerate_partitions,
     format_partition,
     hook_numbers,

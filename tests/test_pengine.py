@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from brute import bootstrap_unpruned, trace_shift_invariance
+from brute import bootstrap_unpruned, scale, trace_shift_invariance
 from golden_tables import TABLE_E6, TABLE_SCHUR
-from wkintersect.rational import Rat, rat_from_str
+from wkintersect.rational import Rat
 from wkintersect import intersect, laurent, oracle, pengine
 from wkintersect.hop import HContext
 from wkintersect.partitions import partition_class
@@ -32,7 +32,7 @@ from wkintersect.sympoly import (
 
 
 def as_terms(golden):
-    return {k: rat_from_str(v) for k, v in golden.items()}
+    return {k: Rat(v) for k, v in golden.items()}
 
 
 def test_r_bounds():
@@ -235,13 +235,13 @@ def test_genus_independence_overdetermined(dtable):
     dtable.ensure_upto(r_max(n), n)
     hop = HContext(n)
     for g_extra in (4, 5):
-        lhs = hop.apply(oracle.a_gn_oracle(g_extra, n)).scale(Rat(24) ** g_extra)
+        lhs = scale(hop.apply(oracle.a_gn_oracle(g_extra, n)), Rat(24) ** g_extra)
         rhs = SymPoly.zero(n, SCHUR)
         for r in range(min(g_extra, r_max(n)) + 1):
             term = dtable.p_rn(r, n)
             for _ in range(g_extra - r):
                 term = power_sum_times_schur(term, 3)
-            rhs = rhs + term.scale(Rat(12 ** r, math.factorial(g_extra - r)))
+            rhs = rhs + scale(term, Rat(12 ** r, math.factorial(g_extra - r)))
         assert lhs == rhs, g_extra
 
 
@@ -425,6 +425,26 @@ def test_dtable_rejects_a_coefficient_before_any_header():
 def test_dtable_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError, match="line 3: zero denominator"):
         DTable.loads("# dtable v1\nn=3 r=0 terms=1\n- 1/0\n")
+
+
+@pytest.mark.parametrize("line", ["- 1 2", "-", "x 1", "1,a 1"])
+def test_dtable_malformed_coefficient_line_names_its_line(line):
+    with pytest.raises(ValueError, match="line 3: malformed coefficient line %r" % line):
+        DTable.loads("# dtable v1\nn=3 r=0 terms=1\n%s\n" % line)
+
+
+def test_dtable_rejects_a_partition_that_cannot_occur_at_its_line():
+    with pytest.raises(ValueError, match="line 3: coefficient at weight 1 in block"):
+        DTable.loads("# dtable v1\nn=3 r=0 terms=1\n1 1\n")
+    with pytest.raises(ValueError, match="line 3: partition 2,1,1,1,1,1 has more than 4 rows"):
+        DTable.loads("# dtable v1\nn=4 r=2\n2,1,1,1,1,1 1/5\n")
+
+
+def test_dtable_file_with_crlf_line_ends_loads(tmp_path):
+    text = "# dtable v1\nn=3 r=0 terms=1\n- 1\n\nn=3 r=1 terms=1\n1,1,1 1/2\n"
+    path = tmp_path / "dtable.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    assert DTable.load(path) == DTable.loads(text)
 
 
 def test_dtable_put_validates():
