@@ -149,8 +149,9 @@ def tau(g, d, dtable=None):
     per-bead factors phi(beta_i) / phi(n-1-i) with
     phi(L) = prod_{0<=m<=L} (2m - 2n + 3), the ribbon chain lowers beads,
     and each block enters through the table's integer bead view, so the
-    dot product with P_{r,n} is an integer sum and one ``Rat`` is built per
-    r.  n = 1, 2 delegate to the recursion oracle (the determinantal chain
+    dot product with P_{r,n} is an integer sum; the sum over r runs in
+    integers over the lcm of the (g-r)! den_r, and one ``Rat`` is built per
+    call.  n = 1, 2 delegate to the recursion oracle (the determinantal chain
     behind the coefficient tables starts at three points).  Missing table
     blocks are bootstrapped on demand.
     """
@@ -183,7 +184,8 @@ def tau(g, d, dtable=None):
             for b in beta:
                 kos *= phi[b]
             w[beta] = kos
-    total = RAT_ZERO
+    lcm = math.lcm(*(math.factorial(g - r) * views[r][0] for r in range(top + 1)))
+    total = 0
     for k in range(g + 1):
         r = g - k
         if r <= top:
@@ -194,13 +196,12 @@ def tau(g, d, dtable=None):
                 v = large.get(beta)
                 if v:
                     dot += c * v
-            if dot:
-                total += Rat(12 ** r * dot, math.factorial(k) * den)
+            total += 12 ** r * dot * (lcm // (math.factorial(k) * den))
         if k < g:
             w = _lower_ribbons(w)
             if not w:
                 break
-    return total / (_dden(lam) * 24 ** g * math.prod(phi[:n]))
+    return Rat(total, lcm * _dden(lam) * 24 ** g * math.prod(phi[:n]))
 
 
 def _upward_image(g, n, dtable):

@@ -363,7 +363,7 @@ class DTable:
         if not data.endswith("\n"):
             raise ValueError("truncated table: no final newline")
         table = cls()
-        cur = want = None
+        cur = want = head = None
         pending = {}  # beta -> (numerator, denominator) of the current block
 
         def flush():
@@ -371,7 +371,8 @@ class DTable:
                 return
             if want is not None and want != len(pending):
                 raise ValueError(
-                    "block (r=%d, n=%d) has %d of %d terms" % (cur + (len(pending), want))
+                    "line %d: block (r=%d, n=%d) has %d of %d terms"
+                    % ((head,) + cur + (len(pending), want))
                 )
             den = math.lcm(*(q for _, q in pending.values()))
             table.views[cur] = bead_view(den, {b: p * (den // q) for b, (p, q) in pending.items()})
@@ -388,10 +389,13 @@ class DTable:
                 ):
                     raise ValueError("line %d: malformed block header %r" % (lineno, line))
                 n, r, *count = (int(v) for _, _, v in toks)
-                cur = (r, n)
+                cur, head = (r, n), lineno
                 if cur in table.views:
                     raise ValueError("line %d repeats block (r=%d, n=%d)" % ((lineno,) + cur))
-                _check_index(r, n)
+                try:
+                    _check_index(r, n)
+                except ValueError as exc:
+                    raise ValueError("line %d: %s" % (lineno, exc)) from None
                 weight = degree_rn(r, n)
                 want = count[0] if count else None
                 table.counted = table.counted and bool(count)

@@ -8,29 +8,32 @@ Three bases are supported, tagged by a single letter:
   partitions whose parts are at most n (any number of rows);
 * ``s`` Schur polynomials, indexed like ``m``.
 
-Monomial and Schur bases are exchanged through the bialternant: the
-s_mu coefficient of f is the coefficient of x^(mu+delta) in a_delta * f
-(Macdonald, *Symmetric Functions*, I.3).  One kernel reads that
-coefficient for one shape, as a signed sum over the permutations w with
-mu + delta - w(delta) >= 0.  Monomial to Schur calls it once per
-requested shape (``schur_integers``); Schur to monomial is the
-unitriangular elimination that calls it once per shape on the monomial
-part found so far (``monomial_integers``), and each inverse Kostka number
-is one call on a single monomial.  Both directions run on integers, and
-the SymPoly base changes wrap them over one common denominator.  The
-kernel keys the monomial coefficients by a multiset code,
-sum_a 1 << (bits * a) over the entries a of the padded partition with
-bits = n.bit_length(): every field holds a multiplicity up to n, so a
-rearrangement of the exponents has the same code, and the walk over
-permutations adds one field per position instead of sorting at every
-leaf.  Kostka columns are grown by horizontal strips on beta numbers and
-keyed by them; they serve the questions that really are Kostka columns,
-above all the formula's ``tau``.  The elementary basis goes through the
-dual columns K_{mu^T, lam}, grown the same way by vertical strips: e to
-s sums one column per term, and s to e is the unitriangular elimination
-of ``elementary_integers``, one column per emitted coefficient subtracted
-from a bead-keyed residual.  Both run on integers, wrapped like the m and
-s changes.
+Monomial and Schur bases are exchanged through the bialternant: the s_mu
+coefficient of f is the coefficient of x^(mu+delta) in a_delta * f
+(Macdonald, *Symmetric Functions*, I.3), a signed sum over the
+permutations w with mu + delta - w(delta) >= 0.  One kernel reads it in
+two flat stages: the bottom walk gives positions n-1 .. 3 their entries
+of delta and depends only on the bottom beads beta_3 .. beta_{n-1} of
+beta = mu + delta, not on f; the top-three close is one loop over the
+walk's leaves with six signed reads of f each.  Monomial to Schur
+(``schur_integers``) groups its shapes by bottom beads and walks each
+bottom once; Schur to monomial is the unitriangular elimination that
+reads each shape on the monomial part found so far
+(``monomial_integers``), reusing a bottom's leaves within the call.
+Both run on integers, and the SymPoly base changes wrap them over one
+common denominator.  The kernel keys the monomial coefficients by a
+multiset code, sum_a 1 << (bits * a) over the entries a of the padded
+partition with bits = n.bit_length(): every field holds a multiplicity
+up to n, so a rearrangement of the exponents has the same code, and the
+walk adds one field per position instead of sorting at every leaf.
+Kostka columns are grown by horizontal strips on beta numbers and keyed
+by them; they serve the questions that really are Kostka columns, above
+all the formula's ``tau``.  The elementary basis goes through the dual
+columns K_{mu^T, lam}, grown the same way by vertical strips: e to s
+sums one column per term, and s to e is the unitriangular elimination of
+``elementary_integers``, one column per emitted coefficient subtracted
+from a bead-keyed residual.  Both run on integers, wrapped like the m
+and s changes.
 
 Products go through the expansion into the integer
 :class:`~wkintersect.laurent.LaurentPoly` (``to_exponent_poly``, every
@@ -185,81 +188,75 @@ def _multiset_code(alpha, n):
     return code
 
 
-def _alternant_coefficient(coded, mu, n):
-    """Coefficient of x^(mu+delta) in a_delta * f, for f given by its
-    monomial coefficients keyed by the multiset codes of the partitions
-    (padded to n parts; see :func:`_multiset_code`).
-
-    Positions are filled from the smallest entry of beta = mu + delta
-    upward, each taking an unused entry v of delta with v <= beta_i, so a
-    negative exponent is cut as soon as it would arise; the sign counts
-    the inversions of the assignment.  The code of alpha = beta - w(delta)
-    grows with each position, and the last three positions close in one
-    unrolled step: with a < b < c the three values left, each of the six
-    assignments to positions (2, 1, 0) enters when its values fit under
-    beta_2 and beta_1 (beta_0 >= n - 1 takes any), signed by the
-    permutation times the parity of the used values above a, b and c, so
-    no leaf sorts anything."""
-    beta = [(mu[i] if i < len(mu) else 0) + n - 1 - i for i in range(n)]
-    b0 = beta[0]
-    bits = n.bit_length()
-    pw = [1 << (bits * a) for a in range(b0 + 1)]
-    get = coded.get
-    if n == 1:
-        return get(pw[b0], 0)
-    b1 = beta[1]
-    if n == 2:
-        c = get(pw[b1] + pw[b0 - 1], 0)
-        return c - get(pw[b1 - 1] + pw[b0], 0) if b1 else c
-    b2 = beta[2]
-    full = (1 << n) - 1
-    total = 0
-
-    def close(used, inv, code):
-        nonlocal total
-        free = full ^ used
+def _bottom_leaves(bottom, n, pw):
+    """Stage one of an alternant read, the bottom walk: positions n-1 .. 3
+    of beta, with beads ``bottom`` = beta[3:], take unused entries
+    v <= beta_i of delta, smallest bead first.  One leaf (a, b, c, parity,
+    code) per assignment: a < b < c the entries left for the top three
+    positions, code the multiset code of the exponents beta_i - v, parity
+    that of the inversions, counting the n-3-a, n-2-b and n-1-c used
+    entries above a, b and c.  Independent of f and of beta[:3]."""
+    if n < 3:
+        return []
+    level = [(0, 0, 0)]  # (used entries as bits, inversions, code)
+    for b in reversed(bottom):
+        level = [
+            (used | 1 << v, inv + (used >> v).bit_count(), code + pw[b - v])
+            for used, inv, code in level
+            for v in range(min(b, n - 1) + 1)
+            if not used >> v & 1
+        ]
+    leaves = []
+    for used, inv, code in level:
+        free = ((1 << n) - 1) ^ used
         a = (free & -free).bit_length() - 1
-        if a > b2:
-            return
         rest = free & (free - 1)
         b = (rest & -rest).bit_length() - 1
         c = free.bit_length() - 1
-        s = 0
-        if b <= b1:
-            head = code + pw[b2 - a]
-            s = get(head + pw[b1 - b] + pw[b0 - c], 0)
+        leaves.append((a, b, c, (inv + n - a - b - c) & 1, code))
+    return leaves
+
+
+def _alternant_coefficient(get, pw, beta, leaves):
+    """Stage two, the top-three close: the coefficient of x^beta,
+    beta = mu + delta, in a_delta * f, for f read by ``get`` on multiset
+    codes and ``leaves`` the bottom walk of beta[3:].  Each of the six
+    assignments of a leaf's a < b < c to positions (2, 1, 0) enters when
+    its values fit under beta_2 and beta_1 (beta_0 >= n - 1 takes any),
+    signed by the permutation and the leaf's parity."""
+    b0 = beta[0]
+    if len(beta) == 1:
+        return get(pw[b0], 0)
+    b1 = beta[1]
+    if len(beta) == 2:
+        c = get(pw[b1] + pw[b0 - 1], 0)
+        return c - get(pw[b1 - 1] + pw[b0], 0) if b1 else c
+    b2 = beta[2]
+    total = 0
+    for a, b, c, odd, code in leaves:
+        if a > b2 or b > b1:
+            continue
+        head = code + pw[b2 - a]
+        s = get(head + pw[b1 - b] + pw[b0 - c], 0)
+        if c <= b1:
+            s -= get(head + pw[b1 - c] + pw[b0 - b], 0)
+        if b <= b2:
+            head = code + pw[b2 - b]
+            s -= get(head + pw[b1 - a] + pw[b0 - c], 0)
             if c <= b1:
-                s -= get(head + pw[b1 - c] + pw[b0 - b], 0)
-            if b <= b2:
-                head = code + pw[b2 - b]
-                s -= get(head + pw[b1 - a] + pw[b0 - c], 0)
-                if c <= b1:
-                    s += get(head + pw[b1 - c] + pw[b0 - a], 0)
-                if c <= b2:
-                    head = code + pw[b2 - c]
-                    s += get(head + pw[b1 - a] + pw[b0 - b], 0)
-                    s -= get(head + pw[b1 - b] + pw[b0 - a], 0)
-        if s:
-            inv += (used >> a).bit_count() + (used >> b).bit_count() + (used >> c).bit_count()
-            total += -s if inv & 1 else s
-
-    def fill(i, used, inv, code):
-        b = beta[i]
-        for v in range(min(b, n - 1) + 1):
-            bit = 1 << v
-            if used & bit:
-                continue
-            k = inv + (used >> v).bit_count()
-            if i > 3:
-                fill(i - 1, used | bit, k, code + pw[b - v])
-            else:
-                close(used | bit, k, code + pw[b - v])
-
-    if n == 3:
-        close(0, 0, 0)
-    else:
-        fill(n - 1, 0, 0, 0)
+                s += get(head + pw[b1 - c] + pw[b0 - a], 0)
+            if c <= b2:
+                head = code + pw[b2 - c]
+                s += get(head + pw[b1 - a] + pw[b0 - b], 0)
+                s -= get(head + pw[b1 - b] + pw[b0 - a], 0)
+        total += -s if odd else s
     return total
+
+
+def _powers(keys, n):
+    """[1 << (bits * a)] for every exponent a that the reads of one base
+    change with these keys meet: up to the top degree plus n - 1."""
+    return [1 << (n.bit_length() * a) for a in range(max(map(sum, keys), default=0) + n)]
 
 
 def _shapes_to_read(keys, n, width=None):
@@ -285,13 +282,22 @@ def _shapes_to_read(keys, n, width=None):
 def schur_integers(padded, n, width=None):
     """{mu: [s_mu] f} != 0 for an integer f = {partition padded to n parts:
     [m_lam] f}, read off the alternant one shape at a time; with ``width``
-    only the shapes with mu_1 <= width are read."""
-    coded = {_multiset_code(lam, n): c for lam, c in padded.items()}
-    out = {}
+    only the shapes with mu_1 <= width are read.  The reads are
+    independent, so the shapes are grouped by their bottom beads beta[3:]
+    and each bottom is walked once, its leaves dropped after its group."""
+    get = {_multiset_code(lam, n): c for lam, c in padded.items()}.get
+    pw = _powers(padded, n)
+    groups = {}
     for mu in _shapes_to_read(padded, n, width):
-        c = _alternant_coefficient(coded, mu, n)
-        if c:
-            out[mu] = c
+        beta = hook_numbers(mu, n)
+        groups.setdefault(beta[3:], []).append((mu, beta))
+    out = {}
+    for bottom, shapes in groups.items():
+        leaves = _bottom_leaves(bottom, n, pw)
+        for mu, beta in shapes:
+            c = _alternant_coefficient(get, pw, beta, leaves)
+            if c:
+                out[mu] = c
     return out
 
 
@@ -300,11 +306,18 @@ def monomial_integers(schur, n):
     of :func:`schur_integers`: [s_lam] f = sum_{nu >= lam} S_{nu,lam}
     [m_nu] f with S_{lam,lam} = 1, so walking each degree in reverse-lex
     order gives [m_lam] f = [s_lam] f - [s_lam](monomial part found so
-    far), one alternant read per shape.  Keys are trimmed partitions."""
+    far), one alternant read per shape.  The leaves of a bottom walk do not
+    depend on the part found, so each bottom is walked once per call.  Keys
+    are trimmed partitions."""
     out = {}
     found = {}
+    pw = _powers(schur, n)
+    walks = {}
     for lam in _shapes_to_read(schur, n):
-        c = schur.get(lam, 0) - _alternant_coefficient(found, lam, n)
+        beta = hook_numbers(lam, n)
+        if beta[3:] not in walks:
+            walks[beta[3:]] = _bottom_leaves(beta[3:], n, pw)
+        c = schur.get(lam, 0) - _alternant_coefficient(found.get, pw, beta, walks[beta[3:]])
         if c:
             found[_multiset_code(lam + (0,) * (n - len(lam)), n)] = c
             out[lam] = c

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: direct tableau enumeration,
 permutation sums, exponent-level polynomial division, rows of K^{-1} by a
 walk over rearrangements, DVV recursions pivoted on the largest index,
-partitions enumerated by one generator per row.
+partitions enumerated by one generator per row, the bialternant
+coefficient as a sum over all n! permutations.
 None of it shares code with the production paths, except that the
 formula-level references at the end (H^{-1} of elementary products, the
 unpruned bootstrap) are assembled from the library's whole Kostka columns,
@@ -272,6 +273,21 @@ def inverse_kostka_row(lam, nrows):
 
     walk(nrows - 1, 0)
     return {mu: s for mu, s in acc.items() if s}
+
+
+def alternant_coefficient(padded, mu, n):
+    """[x^(mu+delta)] a_delta * f for f = {partition padded to n parts:
+    [m_lam] f}: the plain sum over all n! permutations w of delta, each
+    term signed by w and reading [x^(mu+delta-w)] f off the sorted
+    exponents when none is negative."""
+    beta = hook_numbers(mu, n)
+    total = 0
+    for w in permutations(range(n - 1, -1, -1)):
+        alpha = [b - v for b, v in zip(beta, w)]
+        if min(alpha) >= 0:
+            sign = _perm_sign(tuple(-v for v in w))
+            total += sign * padded.get(tuple(sorted(alpha, reverse=True)), 0)
+    return total
 
 
 def signed_det_inverse_kostka(lam, mu, n):

@@ -160,10 +160,13 @@ def test_criterion_7_property_suite(dtable):
     for n in range(1, 7):
         for d in range(0, 13):
             cls = partition_class(d, n)
+            cols = [
+                (lamp, {shape_of_beads(b): k for b, k in kostka_column(lamp, n).items()})
+                for lamp in cls
+            ]
             for lam in cls:
                 row = inverse_kostka_row(lam, n)
-                for lamp in cls:
-                    col = {shape_of_beads(b): k for b, k in kostka_column(lamp, n).items()}
+                for lamp, col in cols:
                     acc = sum(s * col.get(mu, 0) for mu, s in row.items())
                     assert acc == (1 if lam == lamp else 0), (n, d, lam, lamp)
 

@@ -308,6 +308,8 @@ def test_malformed_cache_is_io_error(tmp_path):
         "# dtable v1\nn=3 r=0 terms=1\n- 1\n- 2\n",  # a repeated partition
         "# dtable v1\nn=3 r=0\n- 1\n- 2\n",  # the same without a term count
         "# dtable v1\nn=4 r=2\n2,1,1,1,1,1 1/5\n",  # a partition with more than n rows
+        "# dtable v1\nn=3 r=9 terms=1\n1 1\n",  # a component index out of range
+        "# dtable v1\nn=3 r=1 terms=2\n1,1,1 1/2\n",  # fewer terms than the header counts
         "# dtable v1\nn=3 q=0\n- 1\n",  # a header field that is not r=
         "# dtable v1\nn=3 r=0 terms=1 x\n- 1\n",  # a trailing header token
         "# dtable v1\nn=3 r=0 terms=1\n- 1 2\n",  # a coefficient line of three tokens

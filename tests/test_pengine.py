@@ -440,6 +440,17 @@ def test_dtable_rejects_a_partition_that_cannot_occur_at_its_line():
         DTable.loads("# dtable v1\nn=4 r=2\n2,1,1,1,1,1 1/5\n")
 
 
+def test_dtable_out_of_range_block_names_its_line():
+    with pytest.raises(ValueError, match="line 4: component index 9 out of range for n=3"):
+        DTable.loads("# dtable v1\nn=3 r=0 terms=1\n- 1\nn=3 r=9 terms=1\n1 1\n")
+
+
+def test_dtable_term_count_mismatch_names_its_header_line():
+    data = "# dtable v1\nn=3 r=0 terms=1\n- 1\n\nn=3 r=1 terms=2\n1,1,1 1/2\n"
+    with pytest.raises(ValueError, match=r"line 5: block \(r=1, n=3\) has 1 of 2 terms"):
+        DTable.loads(data)
+
+
 def test_dtable_file_with_crlf_line_ends_loads(tmp_path):
     text = "# dtable v1\nn=3 r=0 terms=1\n- 1\n\nn=3 r=1 terms=1\n1,1,1 1/2\n"
     path = tmp_path / "dtable.txt"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from brute import (
+    alternant_coefficient,
     bialternant_schur,
     contingency_kostka,
     dominates,
@@ -15,12 +16,14 @@ from brute import (
     ssyt_count,
 )
 from wkintersect.rational import Rat
+from wkintersect import sympoly
 from wkintersect.pengine import DTable, r_max
 from wkintersect.partitions import (
     enumerate_partitions,
     hook_numbers,
     parse_partition,
     partition_class,
+    ptrim,
     transpose,
 )
 from wkintersect.sympoly import (
@@ -31,9 +34,9 @@ from wkintersect.sympoly import (
     SymPoly,
     dual_kostka_column,
     kostka_column,
-    _alternant_coefficient,
     _integer_terms,
     _multiset_code,
+    monomial_integers,
     power_sum_times_schur,
     schur_integers,
     shape_of_beads,
@@ -59,10 +62,9 @@ def kostka(mu, lam, n):
 
 
 def inverse_kostka(lam, mu, n):
-    """S_{lam,mu}, the s_mu coefficient of m_lam in n variables: one
+    """S_{lam,mu}, the s_mu coefficient of m_lam in n variables: the
     alternant read on a single monomial."""
-    code = _multiset_code(lam + (0,) * (n - len(lam)), n)
-    return _alternant_coefficient({code: 1}, mu, n)
+    return schur_integers({lam + (0,) * (n - len(lam)): 1}, n).get(mu, 0)
 
 
 def test_kostka_examples():
@@ -196,7 +198,56 @@ def test_multiset_code_fields_hold_a_multiplicity_of_n():
                 assert codes.setdefault(code, padded) == padded
         # the kernel on one all-equal monomial: S_{lam,lam} = 1
         lam = (3,) * n
-        assert _alternant_coefficient({_multiset_code(lam, n): 1}, lam, n) == 1
+        assert schur_integers({lam: 1}, n) == {lam: 1}
+
+
+def random_monomial_integers(n, max_degree, rng):
+    """{partition padded to n parts: c} with about half the partitions of
+    each degree up to max_degree given a non-zero integer c."""
+    out = {}
+    for d in range(max_degree + 1):
+        for lam in partition_class(d, n):
+            if rng.random() < 0.5:
+                out[lam + (0,) * (n - len(lam))] = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return out
+
+
+def test_alternant_kernel_against_the_permutation_sum():
+    # every shape of degree <= 10, read or cut by dominance, and up to 13
+    # for n = 4..6, where entry n - 1 of delta reaches the bottom walk
+    # (beta_3 >= n - 1 needs mu_4 >= 3); n = 3 has an empty bottom walk,
+    # n = 1, 2 no top three
+    rng = random.Random(29)
+    for n in range(1, 8):
+        top = 13 if 4 <= n <= 6 else 10
+        padded = random_monomial_integers(n, top, rng)
+        read = schur_integers(padded, n)
+        for d in range(top + 1):
+            for mu in partition_class(d, n):
+                assert read.get(mu, 0) == alternant_coefficient(padded, mu, n), (n, mu)
+
+
+def test_alternant_reads_do_not_depend_on_their_order(monkeypatch):
+    rng = random.Random(30)
+    cases = [(n, random_monomial_integers(n, 13, rng)) for n in range(1, 8)]
+    want = [schur_integers(padded, n) for n, padded in cases]
+    shapes_to_read = sympoly._shapes_to_read
+
+    def shuffled(*args):
+        shapes = list(shapes_to_read(*args))
+        rng.shuffle(shapes)
+        return shapes
+
+    monkeypatch.setattr(sympoly, "_shapes_to_read", shuffled)
+    assert [schur_integers(padded, n) for n, padded in cases] == want
+
+
+def test_monomial_integers_inverts_schur_integers():
+    rng = random.Random(31)
+    for n in range(1, 8):
+        padded = random_monomial_integers(n, 13, rng)
+        trimmed = {ptrim(lam): c for lam, c in padded.items()}
+        assert monomial_integers(schur_integers(padded, n), n) == trimmed, n
 
 
 def test_kostka_times_inverse_is_identity_small():
