@@ -91,20 +91,23 @@ def cmd_pn(args, out):
     if not 0 <= args.r <= r_max(args.n):
         raise ValueError("component index %d out of range for n=%d" % (args.r, args.n))
     table = load_table(args)
-    table.ensure(args.r, args.n)
+    table.ensure_upto(args.r, args.n)
     poly = table.p_rn(args.r, args.n).change_basis(BASIS_NAMES[args.basis])
     emit_sympoly(poly, args.format, out)
     return EXIT_OK
 
 
 def cmd_dtable(args, out):
+    """Add the blocks (0..r_max, n) that the cache lacks and rewrite it.
+    The load, build and save run under a POSIX record lock taken with
+    ``os.lockf`` on ``dtable.txt.lock``: advisory and held per process, so
+    a second ``wk dtable`` waits and then keeps these blocks with its own.
+    The file is replaced through ``os.replace``, so no reader sees it torn."""
     r_top = args.r_max if args.r_max is not None else r_max(args.n)
     if not 0 <= r_top <= r_max(args.n):
         raise ValueError("component bound %d out of range for n=%d" % (r_top, args.n))
     path = cache_file(args)
     try:
-        import fcntl
-
         os.makedirs(args.cache_dir, exist_ok=True)
         lock = open(path + ".lock", "wb")
     except OSError as exc:
@@ -114,7 +117,7 @@ def cmd_dtable(args, out):
         # the whole load, build and save runs under the lock, so a concurrent
         # writer waits and then loads these blocks with its own
         try:
-            fcntl.flock(lock, fcntl.LOCK_EX)
+            os.lockf(lock.fileno(), os.F_LOCK, 0)
             table = DTable.load(path) if os.path.exists(path) else DTable()
         except (OSError, ValueError) as exc:
             sys.stderr.write("cache error: %s\n" % (exc,))
@@ -175,9 +178,9 @@ class BoundViolation(AssertionError):
 def elo_rows(n, r_top, table):
     """(r, appearing, allowed) rows: non-vanishing elementary coefficients of
     each homogeneous component against the exact-length count of candidates."""
+    table.ensure_upto(r_top, n)
     rows = []
     for r in range(r_top + 1):
-        table.ensure(r, n)
         poly = table.p_rn(r, n).change_basis(sympoly.ELEMENTARY)
         seen = set()
         for lam in poly.terms:

@@ -215,12 +215,12 @@ def _upward_image(g, n, dtable):
     x = {}
     for r, (d, block) in enumerate(views):
         if r:
-            x = raise_ribbons(x, 3)
+            x = raise_ribbons(x)
         w = 12 ** r * (den // (math.factorial(g - r) * d))
         for beta, c in block.items():
             x[beta] = x.get(beta, 0) + w * c
     for _ in range(g - top):
-        x = raise_ribbons(x, 3)
+        x = raise_ribbons(x)
     return den, {shape_of_beads(beta): c for beta, c in x.items() if c}
 
 

@@ -59,9 +59,9 @@ def z_factor(lam, n):
     return Rat(z)
 
 
-def enumerate_partitions(d, max_rows, min_part=1, max_part=None):
-    """Yield the partitions of d with at most max_rows rows and parts within
-    [min_part, max_part], in reverse-lexicographic order (largest first).
+def enumerate_partitions(d, max_rows, max_part=None):
+    """Yield the partitions of d with at most max_rows rows and parts at
+    most max_part, in reverse-lexicographic order (largest first).
 
     One list holds the current rows: it grows by the largest part that the
     rows left can still complete (part * rows_left >= weight left), and on a
@@ -72,14 +72,13 @@ def enumerate_partitions(d, max_rows, min_part=1, max_part=None):
     if d == 0:
         yield ()
         return
-    low = max(min_part, 1)
     cap = d if max_part is None else min(max_part, d)
     rows = []
     left = d
     while True:
         k = len(rows)
         top = min(rows[-1] if k else cap, left)
-        if k < max_rows and top >= low and top * (max_rows - k) >= left:
+        if k < max_rows and top > 0 and top * (max_rows - k) >= left:
             rows.append(top)
             left -= top
             if left:
@@ -88,7 +87,7 @@ def enumerate_partitions(d, max_rows, min_part=1, max_part=None):
         while rows:
             part = rows.pop()
             left += part
-            if part > low and (part - 1) * (max_rows - len(rows)) >= left:
+            if part > 1 and (part - 1) * (max_rows - len(rows)) >= left:
                 rows.append(part - 1)
                 left -= part - 1
                 break

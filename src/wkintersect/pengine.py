@@ -159,7 +159,7 @@ def bootstrap_all(r_top, n):
             for beta, v in term.items():
                 into[beta] = into.get(beta, 0) + w * v
             if r < r_top:
-                term = raise_ribbons(term, 3, top)
+                term = raise_ribbons(term, top)
     out = {}
     for r, into in enumerate(acc):
         out[r] = view = bead_view(common[r], into)
@@ -301,11 +301,6 @@ class DTable:
         self.views[(r, n)] = bead_view(
             den, {beta: v.numerator * (den // v.denominator) for beta, v in vals.items()}
         )
-
-    def ensure(self, r, n):
-        """Compute and store the (r, n) block if missing."""
-        if not self.has(r, n):
-            self.ensure_upto(r, n)
 
     def ensure_upto(self, r_top, n):
         if all(self.has(r, n) for r in range(r_top + 1)):

@@ -42,9 +42,11 @@ exponent doubled) and the collection back into the monomial basis
 
 No column, Kostka or dual, is kept between calls: each question builds
 the columns it reads and drops them, so a sweep over many indices holds
-no more than one index needs.  The one memo left here is the partition
-classes of :func:`partition_class` (an ``lru_cache`` with one entry per
-(degree, row count) asked), filled once per key and then only read.
+no more than one index needs.  The one memo between calls is outside
+this module: the partition classes of
+:func:`~wkintersect.partitions.partition_class` (an ``lru_cache`` with
+one entry per (degree, row count) asked), filled once per key and then
+only read.
 """
 
 import math
@@ -55,7 +57,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     hook_numbers,
-    partition_class,
     ptrim,
     transpose,
     z_factor,
@@ -161,12 +162,6 @@ def dual_kostka_column(content, nrows):
         if part:
             col = _add_vstrip(col, part)
     return col
-
-
-def clear_caches():
-    """Drop the memoized partition classes, the one memo the formula path
-    keeps between calls (the tests call it to measure a cold question)."""
-    partition_class.cache_clear()
 
 
 def _integer_terms(terms):
@@ -437,9 +432,6 @@ class SymPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.n, self.basis, tuple(sorted(self.terms.items()))))
-
     def __repr__(self):
         if not self.terms:
             return "SymPoly(%d, %r, 0)" % (self.n, self.basis)
@@ -553,12 +545,12 @@ class SymPoly:
 # ---------------------------------------------------------------------------
 
 
-def power_sum_times_schur(poly, r=3):
-    """Multiply a Schur-basis SymPoly by the power sum p_r."""
+def power_sum_times_schur(poly):
+    """Multiply a Schur-basis SymPoly by the power sum p_3."""
     if poly.basis != SCHUR:
         raise ValueError("ribbon multiplication expects the Schur basis")
     n = poly.n
-    w = raise_ribbons({hook_numbers(nu, n): c for nu, c in poly.terms.items()}, r)
+    w = raise_ribbons({hook_numbers(nu, n): c for nu, c in poly.terms.items()})
     return SymPoly._make(n, SCHUR, {shape_of_beads(beta): c for beta, c in w.items()})
 
 
@@ -576,9 +568,9 @@ def runner_counts(beta):
     return tuple(counts)
 
 
-def raise_ribbons(w, r, top=None):
-    """p_r times a Schur combination {beta: c} keyed by beta numbers (the
-    strictly decreasing shifted rows mu_i + n - i): raise one bead by r
+def raise_ribbons(w, top=None):
+    """p_3 times a Schur combination {beta: c} keyed by beta numbers (the
+    strictly decreasing shifted rows mu_i + n - i): raise one bead by 3
     onto a free position, the sign counting the beads jumped over;
     collisions vanish.  With ``top`` a result whose largest bead would
     pass ``top`` is dropped.  The values may be ints or exact rationals."""
@@ -587,7 +579,7 @@ def raise_ribbons(w, r, top=None):
         if top is not None and beta[0] > top:
             continue
         for i, b in enumerate(beta):
-            t = b + r
+            t = b + 3
             j = i
             while j and beta[j - 1] < t:
                 j -= 1

@@ -51,7 +51,7 @@ from wkintersect.cli import (
     default_cache_dir,
 )
 from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat
-from wkintersect.partitions import enumerate_partitions, hook_numbers, partition_class, ptrim
+from wkintersect.partitions import hook_numbers, partition_class, ptrim
 from wkintersect.hop import _dden, _gnum, barnes_constant
 from wkintersect.intersect import Correlator
 from wkintersect.pengine import DTable, degree_rn, r_max
@@ -734,7 +734,7 @@ def count_exact_length(n, r):
     3r - 3 + n, by enumerating every weight and keeping length r."""
     count = 0
     for w in range(degree_rn(r, n) + 1):
-        for nu in enumerate_partitions(w, r, min_part=2, max_part=n):
+        for nu in enumerate_partitions_recursive(w, r, 2, n):
             if len(nu) == r:
                 count += 1
     return count

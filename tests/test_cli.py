@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from brute import build_parser
-from wkintersect import cli
+from wkintersect import cli, pengine
 from wkintersect.pengine import DTable, r_max
 
 
@@ -182,6 +183,50 @@ def test_concurrent_dtable_writers_keep_both_block_sets(tmp_path):
     assert set(table.blocks) == want
 
 
+_HOLD_LOCK = """
+import os, sys
+with open(sys.argv[1], "wb") as fh:
+    os.lockf(fh.fileno(), os.F_LOCK, 0)
+    print("locked", flush=True)
+    sys.stdin.read()
+"""
+
+
+def _source_env():
+    return dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(cli.__file__), os.pardir))
+
+
+def test_dtable_waits_for_a_held_cache_lock(tmp_path):
+    # a writer that does not take the same lock could interleave with this
+    # one; the wait is what keeps both writers' blocks
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(tmp_path / "dtable.txt.lock")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    writer = None
+    try:
+        assert select.select([holder.stdout], [], [], 60)[0], "the helper never took the lock"
+        assert holder.stdout.readline() == "locked\n"
+        writer = subprocess.Popen(
+            [sys.executable, "-m", "wkintersect.cli", "--cache-dir", str(tmp_path), "dtable", "-n", "3"],
+            stdout=subprocess.DEVNULL, env=_source_env(),
+        )
+        with pytest.raises(subprocess.TimeoutExpired):
+            writer.wait(timeout=1)
+        assert not (tmp_path / "dtable.txt").exists()
+        holder.stdin.close()
+        assert holder.wait(timeout=60) == 0
+        assert writer.wait(timeout=120) == 0
+    finally:
+        for proc in (holder, writer):
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+        holder.stdin.close()
+        holder.stdout.close()
+    assert set(DTable.load(tmp_path / "dtable.txt").blocks) == {(0, 3), (1, 3)}
+
+
 def test_dtable_parses_an_existing_cache_once(tmp_path, monkeypatch):
     assert run_cli(["dtable", "-n", "4"], tmp_path)[0] == 0
     parsed = []
@@ -256,6 +301,24 @@ def test_elo_counts(tmp_path):
     assert out.splitlines()[1:] == ["0\t1\t1", "1\t1\t2"]
     code, out = run_cli(["--format", "tsv", "elo", "-n", "4"], tmp_path)
     assert out.splitlines() == ["0\t1\t1", "1\t2\t3", "2\t2\t5", "3\t1\t8"]
+
+
+def test_cold_elo_bootstraps_once(tmp_path, monkeypatch):
+    calls = []
+    build = pengine.bootstrap_all
+
+    def counting(r_top, n):
+        calls.append((r_top, n))
+        return build(r_top, n)
+
+    monkeypatch.setattr(pengine, "bootstrap_all", counting)
+    code, out = run_cli(["--format", "tsv", "elo", "-n", "6"], tmp_path)
+    assert code == 0
+    assert calls == [(10, 6)]
+    assert out.splitlines() == [
+        "0\t1\t1", "1\t4\t5", "2\t8\t11", "3\t16\t20", "4\t23\t31", "5\t27\t46",
+        "6\t27\t64", "7\t24\t87", "8\t17\t114", "9\t9\t148", "10\t4\t187",
+    ]
 
 
 def test_bench_shape(tmp_path):
@@ -483,20 +546,22 @@ def test_a_dash_value_goes_to_the_command(tmp_path, capsys):
 _MODULES_AFTER_CALLS = """
 import io, sys
 from wkintersect import cli
+imported = set(sys.modules)
 for argv in (["dtable", "-n", "4"], ["tau", "--genus", "1", "--powers", "0,0,3"]):
     assert cli.main(["--cache-dir", sys.argv[1]] + argv, out=io.StringIO()) == 0
 print(" ".join(m for m in ("argparse", "gettext", "locale", "encodings.ascii") if m in sys.modules))
+print(" ".join(sorted(set(sys.modules) - imported)))
 """
 
 
 def test_calls_import_no_argument_parser(tmp_path):
     # argparse's set-up (and the locale module its first gettext call
     # imports) was most of the cost of a small `wk` call; the cache is read
-    # and written as bytes, so no call imports the ascii codec either
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(cli.__file__), os.pardir))
+    # and written as bytes, so no call imports the ascii codec either, and
+    # the calls import nothing beyond what importing the CLI did
     res = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER_CALLS, str(tmp_path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_source_env(),
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == ""
+    assert res.stdout == "\n\n"

