@@ -55,7 +55,10 @@ def load_table(args):
 
 
 def parse_powers(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    toks = text.split(",")
+    if not all(tok.strip() for tok in toks):
+        raise ValueError("empty index in --powers %r" % (text,))
+    return tuple(map(int, toks))
 
 
 def emit_sympoly(poly, fmt, out):
@@ -178,12 +181,11 @@ class BoundViolation(AssertionError):
 def elo_rows(n, r_top, table):
     """(r, appearing, allowed) rows: non-vanishing elementary coefficients of
     each homogeneous component against the exact-length count of candidates."""
-    table.ensure_upto(r_top, n)
     rows = []
-    for r in range(r_top + 1):
-        poly = table.p_rn(r, n).change_basis(sympoly.ELEMENTARY)
+    for r, (_, ints, _) in enumerate(table.ensure_upto(r_top, n)):
+        # the support alone counts: the block's bead view goes straight in
         seen = set()
-        for lam in poly.terms:
+        for lam in sympoly.elementary_integers(ints, n):
             nu = tuple(x for x in lam if x >= 2)
             if len(nu) > r:
                 raise BoundViolation(

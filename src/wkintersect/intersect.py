@@ -13,18 +13,20 @@ polynomial components, Q the mod-3-gated determinant
 Since Q_{nu,mu} = <p_3^k s_nu, s_mu> / k!, every Q sum is a chain of
 3-ribbon moves, and that is how the numbers are evaluated here:
 
+Both routes key every Schur coefficient by its beads beta = mu + delta,
+from the table's bead view of each block to the weight gnum(mu) read off
+the beads (``hop.times_gnum``); a partition appears only in the
+``Correlator`` that ``w_gn`` returns.
+
 * ``tau`` runs the adjoint chain downward from its own Kostka column,
   W_0 = sum_mu K_{mu,lam} G(mu) s_mu and W_{k+1} = p_3^perp W_k, and
-  dots W_{g-r} with the table block P_{r,n}; all of it on beta numbers
-  and integers, from the bead-keyed column to the table's bead view of
-  each block;
+  dots W_{g-r} with the block P_{r,n}, in integers;
 * ``a_gn`` and ``w_gn`` read one upward image
   X_{g,n} = sum_r 12^r / (g-r)! p_3^(g-r) P_{r,n}, run by Horner's rule
-  in p_3 on the table's bead views in integers over one denominator: the
-  generating polynomial is H^{-1}(X) / 24^g through the integer H^{-1}
-  (``hop.h_inverse_integers``), the correlator coefficients are
-  Gamma(mu) X_mu / 12^g = gnum(mu) X_mu / (2^|mu| 12^g) (the Kostka
-  numbers cancel), and one ``Rat`` is built per emitted coefficient.
+  in p_3 in integers over one denominator: the generating polynomial is
+  H^{-1}(X) / 24^g (``hop.h_inverse_integers``), the correlator
+  coefficients are Gamma(mu) X_mu / 12^g = gnum(mu) X_mu / (2^|mu| 12^g)
+  (the Kostka numbers cancel), one ``Rat`` per emitted coefficient.
 
 ``q_coeff`` keeps the determinant itself as the paper's form of Q and as
 a test oracle; no production path evaluates it.
@@ -32,9 +34,9 @@ a test oracle; no production path evaluates it.
 
 import math
 
-from .rational import RAT_ONE, RAT_ZERO, Rat
+from .rational import RAT_ONE, RAT_ZERO, Rat, dden
 from .partitions import format_partition, hook_numbers, ptrim
-from .hop import _dden, _gnum, h_inverse_integers
+from .hop import h_inverse_integers, times_gnum
 from . import oracle as oracle_mod
 from .pengine import DTable, degree_rn, r_max
 from .sympoly import (
@@ -103,17 +105,6 @@ def q_coeff(nu, mu, n):
     return _bareiss_det(_q_matrix(nu, mu, n))
 
 
-def _tables(g, n, dtable):
-    """The table holding P_{r,n} for every r <= top = min(g, r_max(n)),
-    bootstrapping missing blocks from the oracle's integer classes; returns
-    (dtable, top)."""
-    if dtable is None:
-        dtable = DTable()
-    top = min(g, r_max(n))
-    dtable.ensure_upto(top, n)
-    return dtable, top
-
-
 def _lower_ribbons(w):
     """p_3^perp on an integer Schur combination keyed by beta numbers
     (strictly decreasing shifted rows): lower one bead by 3 onto a free
@@ -144,16 +135,15 @@ def tau(g, d, dtable=None):
 
         tau = sum_r 12^r / (g-r)! <P_{r,n}, W_{g-r}> / (dden(lam) 24^g).
 
-    Everything runs on beta numbers (beads) beta_i = mu_i + n - 1 - i: the
-    Kostka column is grown on beads, G(mu) = gnum(mu) is the product of the
-    per-bead factors phi(beta_i) / phi(n-1-i) with
-    phi(L) = prod_{0<=m<=L} (2m - 2n + 3), the ribbon chain lowers beads,
-    and each block enters through the table's integer bead view, so the
-    dot product with P_{r,n} is an integer sum; the sum over r runs in
-    integers over the lcm of the (g-r)! den_r, and one ``Rat`` is built per
-    call.  n = 1, 2 delegate to the recursion oracle (the determinantal chain
-    behind the coefficient tables starts at three points).  Missing table
-    blocks are bootstrapped on demand.
+    Everything runs on beads beta_i = mu_i + n - 1 - i: the Kostka column
+    is grown on beads, G(mu) = gnum(mu) is read off them
+    (``hop.times_gnum``), the ribbon chain lowers beads, and each block
+    enters through the table's integer bead view, so the dot product with
+    P_{r,n} is an integer sum; the sum over r runs in integers over the lcm
+    of the (g-r)! den_r, and one ``Rat`` is built per call.  n = 1, 2
+    delegate to the recursion oracle (the determinantal chain behind the
+    coefficient tables starts at three points).  Missing table blocks are
+    bootstrapped on demand.
     """
     d = tuple(d)
     n = len(d)
@@ -165,30 +155,22 @@ def tau(g, d, dtable=None):
     if n <= 2:
         return oracle_mod.virasoro_tau(g, d)
     lam = tuple(sorted(d, reverse=True))
-    dtable, top = _tables(g, n, dtable)
-    views = [dtable.views[(r, n)] for r in range(top + 1)]
+    views = (DTable() if dtable is None else dtable).ensure_upto(min(g, r_max(n)), n)
 
-    # phi[L] for every bead a shape of weight |lam| can carry; the
-    # denominators phi(n-1-i) are the same for every mu and join the final
-    # division
-    phi = [3 - 2 * n]
-    for m in range(1, sum(lam) + n):
-        phi.append(phi[-1] * (2 * m - 2 * n + 3))
     # Ribbon moves keep the 3-core, i.e. the bead count on each runner of
     # the 3-abacus, so only shapes whose count some table entry shares can
     # reach a block.
     cores = set().union(*(view[2] for view in views))
     w = {}
-    for beta, kos in kostka_column(lam, n).items():
+    for beta, k in kostka_column(lam, n).items():
         if runner_counts(beta) in cores:
-            for b in beta:
-                kos *= phi[b]
-            w[beta] = kos
-    lcm = math.lcm(*(math.factorial(g - r) * views[r][0] for r in range(top + 1)))
+            w[beta] = k
+    w = times_gnum(w, n)
+    lcm = math.lcm(*(math.factorial(g - r) * view[0] for r, view in enumerate(views)))
     total = 0
     for k in range(g + 1):
         r = g - k
-        if r <= top:
+        if r < len(views):
             den, block, _ = views[r]
             small, large = (w, block) if len(w) <= len(block) else (block, w)
             dot = 0
@@ -201,27 +183,26 @@ def tau(g, d, dtable=None):
             w = _lower_ribbons(w)
             if not w:
                 break
-    return Rat(total, lcm * _dden(lam) * 24 ** g * math.prod(phi[:n]))
+    return Rat(total, lcm * dden(lam) * 24 ** g)
 
 
 def _upward_image(g, n, dtable):
     """X_{g,n} = sum_{r<=top} 12^r / (g-r)! p_3^(g-r) P_{r,n} in integers:
-    (den, {mu: den X_mu}) in the Schur basis with den the lcm of the
-    (g-r)! den_r.  Horner's rule in p_3 runs on the table's bead views
-    (g ribbon steps in all)."""
-    dtable, top = _tables(g, n, dtable)
-    views = [dtable.views[(r, n)][:2] for r in range(top + 1)]
-    den = math.lcm(*(math.factorial(g - r) * d for r, (d, _) in enumerate(views)))
+    (den, {beta: den X_mu}) in the Schur basis, beta the beads of mu, with
+    den the lcm of the (g-r)! den_r.  Horner's rule in p_3 runs on the
+    table's bead views (g ribbon steps in all)."""
+    views = (DTable() if dtable is None else dtable).ensure_upto(min(g, r_max(n)), n)
+    den = math.lcm(*(math.factorial(g - r) * view[0] for r, view in enumerate(views)))
     x = {}
-    for r, (d, block) in enumerate(views):
+    for r, (d, block, _) in enumerate(views):
         if r:
             x = raise_ribbons(x)
         w = 12 ** r * (den // (math.factorial(g - r) * d))
         for beta, c in block.items():
             x[beta] = x.get(beta, 0) + w * c
-    for _ in range(g - top):
+    for _ in range(g - len(views) + 1):
         x = raise_ribbons(x)
-    return den, {shape_of_beads(beta): c for beta, c in x.items() if c}
+    return den, {beta: c for beta, c in x.items() if c}
 
 
 def a_gn(g, n, basis=MONOMIAL, dtable=None):
@@ -233,7 +214,7 @@ def a_gn(g, n, basis=MONOMIAL, dtable=None):
         return oracle_mod.a_gn_oracle(g, n).change_basis(basis)
     den, x = _upward_image(g, n, dtable)
     den *= 24 ** g
-    terms = {lam: Rat(c, den * _dden(lam)) for lam, c in h_inverse_integers(x, n).items()}
+    terms = {lam: Rat(c, den * dden(lam)) for lam, c in h_inverse_integers(x, n).items()}
     return SymPoly._make(n, MONOMIAL, terms).change_basis(basis)
 
 
@@ -268,8 +249,8 @@ class Correlator:
         Schur to monomial elimination in integers over one denominator."""
         den, items = _integer_terms(self.coeffs)
         shift = 2 * self.g + self.n - 3
-        m = monomial_integers(dict(items), self.n)
-        return {lam: Rat(c << shift, den * _dden(lam)) for lam, c in m.items()}
+        m = monomial_integers({hook_numbers(mu, self.n): c for mu, c in items}, self.n)
+        return {lam: Rat(c << shift, den * dden(lam)) for lam, c in m.items()}
 
     def text(self):
         lines = ["W g=%d n=%d" % (self.g, self.n)]
@@ -295,4 +276,5 @@ def w_gn(g, n, dtable=None):
     oracle_mod.require_stable(g, n)
     den, x = _upward_image(g, n, dtable)
     den = (den * 12 ** g) << degree_rn(g, n)  # 2^|mu|, one weight for all mu
-    return Correlator(g, n, {mu: Rat(_gnum(mu) * c, den) for mu, c in x.items()})
+    x = times_gnum(x, n)
+    return Correlator(g, n, {shape_of_beads(beta): Rat(c, den) for beta, c in x.items()})

@@ -49,7 +49,7 @@ reads (lam_1 <= 3n - 6), and ``a_gn_oracle`` is that class without a cap.
 import math
 from itertools import permutations
 
-from .rational import Rat, double_factorial_odd_int
+from .rational import Rat, dden, double_factorial_odd_int
 from .partitions import enumerate_partitions, partition_class, ptrim
 from .laurent import LaurentPoly, exp_p3
 from .sympoly import MONOMIAL, SymPoly
@@ -91,11 +91,7 @@ def _splits(rest):
 
 def _scale(g, d):
     """2^(4g-2+n) prod_i (2 d_i + 1)!!, the factor T(g, d) carries."""
-    s = 1 << (4 * g - 2 + len(d))
-    for x in d:
-        if x:
-            s *= double_factorial_odd_int(2 * x + 1)
-    return s
+    return dden(d) << (4 * g - 2 + len(d))
 
 
 def _sorted(t):

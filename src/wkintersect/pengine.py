@@ -9,43 +9,47 @@ polynomial from the oracle's generating polynomials:
 ``direct_p`` evaluates the determinantal realization instead: the trace
 of a product of explicit 2x2 Laurent matrices, dressed with truncated
 cubic exponentials, hit with a reduced grid of derivative differences,
-antisymmetrized and divided by the Vandermonde.  It runs in integers
-over one denominator per polynomial (:mod:`laurent`): the matrices are
-scaled by 4, exp(+-p_3/12) goes over the common denominator 12^K K!, and
-each derivative doubles the denominator.  The two routes share no code
-beyond exact arithmetic, which is the point: their agreement validates
-both.
+antisymmetrized and divided by the Vandermonde, in integers over one
+denominator per polynomial (:mod:`laurent`).  The two routes share no
+code beyond exact arithmetic, so their agreement validates both.
 
-Every Schur shape mu of P_{r,n} satisfies mu_1 <= 2n - 5, which the
+The box.  Every Schur shape mu of P_{r,n} has mu_1 <= 2n - 5, as the
 direct route shows (it equals P_n by the paper; the tests check that at
-n <= 5).  In the variable u, tr prod_i Mtilde(u_i) has degree at most 2
-in each u_i, and at most 3/2 after the division by sqrt(e_n).
-Conjugating by exp(+-p_3/12) turns each derivative difference into
-(d_i + u_i^2/4) - (d_j + u_j^2/4), with d_i = d/du_i; each variable sits
-in n - 3 of the non-adjacent pairs, which add at most 2(n - 3) to its
-degree.  The factor e_n^(n-3/2) adds n - 3/2.  So the largest entry
-beta_1 of every alternant in the numerator is at most 3n - 6, and
-mu_1 = beta_1 - (n - 1) <= 2n - 5.  Multiplication by p_3 only adds
-cells, so the bootstrap computes H(A_{g,n}) and each ribbon image on the
-shapes inside that box alone (``box_width``).
+n <= 5).  In u, tr prod_i Mtilde(u_i) has degree at most 2 in each u_i,
+3/2 after the division by sqrt(e_n).  Conjugating by exp(+-p_3/12) turns
+each derivative difference into (d_i + u_i^2/4) - (d_j + u_j^2/4); each
+variable sits in n - 3 non-adjacent pairs, which add at most 2(n - 3) to
+its degree, and e_n^(n-3/2) adds n - 3/2.  So every alternant of the
+numerator has beta_1 <= 3n - 6, and mu_1 = beta_1 - (n - 1) <= 2n - 5.
+p_3 only adds cells, so the bootstrap computes H(A_{g,n}) and each ribbon
+image on the box shapes alone (``box_width``).  The alternant read of a
+box shape meets only exponents alpha <= beta, so the oracle is asked only
+for the lam with lam_1 <= 3n - 6 (4 548 of the 16 475 partitions at
+(g, n) = (15, 7)).
 
-The box also bounds what the bootstrap asks the oracle for.  [s_mu] of a
-monomial combination f is the coefficient of x^beta, beta = mu + delta,
-in a_delta f: a signed sum of [m_alpha] f over alpha = beta - w(delta),
-whose entries are at most those of beta.  In the box beta_1 =
-mu_1 + n - 1 <= 3n - 6, so only the lam with lam_1 <= 3n - 6 are read
-(4 548 of the 16 475 partitions at (g, n) = (15, 7)).
+The string identity: for n >= 4, P_{r,n} at u_n = 0 is e_1 P_{r,n-1},
+with P_{r,n-1} = 0 for r > r_max(n-1), in four steps.
+1. The string equation <tau_0 tau_lam>_g = sum_i <tau_{lam - e_i}>_g
+   reads A_{g,n} at u_n = 0 as e_1 A_{g,n-1}.
+2. H commutes with setting u_n = 0: N_{mu,lam} does not depend on the
+   number of rows, and neither do the inverse Kostka numbers of the
+   shapes with fewer than n rows, the only ones that survive.
+3. H commutes with multiplication by e_1: dden(lam + e_i) / dden(lam) =
+   2 lam_i + 3 and gnum(mu + box) / gnum(mu) = 2 c(box) + 3, c the
+   content.  This step is only measured (on every block of n = 4..8),
+   not proven.
+4. p_3 commutes with both, and P_{r,n} is triangular in g, a sum of the
+   p_3^(r-g) H(A_{g,n}) over g <= r, so the identity passes to each P_r.
+The tests check it on every table they build, in code of their own.
 
-The whole route runs in integers.  The oracle's class
-{lam: T(g, lam)} over lam_1 <= 3n - 6, with T = 2^(4g-2+n)
-prod (2 lam_i + 1)!! <tau_lam>_g, is already dden(lam) times the monomial
-coefficients of A_{g,n} up to the scale 2^(4g-2+n), which is what H reads
-(``hop.h_integers``).  H gives y_mu / den_g on the box shapes, the p_3
-ribbon chain runs on those integers, and each P_r sums its images over the
-common denominator of the weights (-1)^k 2^g / (12^k k! den_g).  Those
-integers, reduced to the lowest common denominator, are the block's bead
-view (``bead_view``), which the table stores as it comes: no ``Rat`` is
-built on the way.
+The whole route runs in integers and on beads.  The oracle's class
+{lam: T(g, lam)}, T = 2^(4g-2+n) dden(lam) <tau_lam>_g, is the form H
+reads (``hop.h_integers``).  H gives y_beta / den_g on the box shapes,
+keyed by beads, the p_3 ribbon chain moves the beads, and each P_r sums
+its images over the common denominator of the weights
+(-1)^k 2^g / (12^k k! den_g).  Reduced to the lowest common denominator,
+these integers are the block's bead view (``bead_view``), which the table
+stores as it comes; no partition and no ``Rat`` is built on the way.
 
 ``DTable`` is the persistent store of the P_{r,n}: one bead view per
 block, the form every query reads.  Its line-oriented ASCII format is
@@ -144,7 +148,7 @@ def bootstrap_all(r_top, n):
     for g in range(r_top + 1):
         scale, padded = integer_class(g, n, top)
         lcm, y = h_integers(padded, n, width)
-        images.append((scale * lcm, {hook_numbers(mu, n): c for mu, c in y.items()}))
+        images.append((scale * lcm, y))
     # p_3^k H(A_{g,n}) enters P_{g+k,n} with (-1)^k 2^g / (12^k k! den_g);
     # each P_r sums in integers over the lcm of those denominators
     def den(g, r):
@@ -303,10 +307,12 @@ class DTable:
         )
 
     def ensure_upto(self, r_top, n):
-        if all(self.has(r, n) for r in range(r_top + 1)):
-            return
-        for r, view in bootstrap_all(r_top, n).items():
-            self.views.setdefault((r, n), view)
+        """The bead views of P_{0,n} .. P_{r_top,n}, bootstrapping the blocks
+        the table lacks."""
+        if not all(self.has(r, n) for r in range(r_top + 1)):
+            for r, view in bootstrap_all(r_top, n).items():
+                self.views.setdefault((r, n), view)
+        return [self.views[(r, n)] for r in range(r_top + 1)]
 
     def p_rn(self, r, n):
         return SymPoly(n, SCHUR, self.get(r, n))

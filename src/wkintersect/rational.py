@@ -6,9 +6,9 @@ point enters any computation path.  ``Rat`` is the standard library's
 emitted coefficient, so the scalar type is not where the time goes.  It
 keeps values in canonical form (coprime, positive denominator) with the
 textual format used throughout: ``p/q``, plain ``p`` when the denominator
-is 1, the sign on the numerator.  ``double_factorial_odd_int`` gives the
-integer (2k + 1)!! that the weights of :mod:`hop` and the oracle's
-integer scale are built from.
+is 1, the sign on the numerator.  ``double_factorial_odd_int`` gives
+(2k + 1)!!, and ``dden`` prod_i (2 d_i + 1)!!, the monomial-side weight
+of :mod:`hop` that the oracle's integer scale carries too.
 """
 
 from fractions import Fraction as Rat
@@ -34,3 +34,12 @@ def double_factorial_odd_int(k):
         p *= k
         k -= 2
     return p
+
+
+def dden(parts):
+    """prod_i (2 d_i + 1)!! over the entries d_i >= 0 of an index."""
+    v = 1
+    for d in parts:
+        if d:
+            v *= double_factorial_odd_int(2 * d + 1)
+    return v

@@ -8,32 +8,35 @@ Three bases are supported, tagged by a single letter:
   partitions whose parts are at most n (any number of rows);
 * ``s`` Schur polynomials, indexed like ``m``.
 
+Inside the integer kernels a Schur coefficient has one key, its beads
+beta = mu + delta, the strictly decreasing shifted rows (``hook_numbers``
+and ``shape_of_beads`` convert): ``schur_integers`` returns them,
+``monomial_integers`` and ``elementary_integers`` take them, and Kostka
+columns, dual columns and ribbon moves are keyed by them.  Partitions key
+the m and e sides, and key a Schur coefficient only in a SymPoly
+(``change_basis`` and ``power_sum_times_schur`` convert at that edge).
+
 Monomial and Schur bases are exchanged through the bialternant: the s_mu
-coefficient of f is the coefficient of x^(mu+delta) in a_delta * f
-(Macdonald, *Symmetric Functions*, I.3), a signed sum over the
-permutations w with mu + delta - w(delta) >= 0.  One kernel reads it in
-two flat stages: the bottom walk gives positions n-1 .. 3 their entries
-of delta and depends only on the bottom beads beta_3 .. beta_{n-1} of
-beta = mu + delta, not on f; the top-three close is one loop over the
-walk's leaves with six signed reads of f each.  Monomial to Schur
-(``schur_integers``) groups its shapes by bottom beads and walks each
-bottom once; Schur to monomial is the unitriangular elimination that
-reads each shape on the monomial part found so far
-(``monomial_integers``), reusing a bottom's leaves within the call.
-Both run on integers, and the SymPoly base changes wrap them over one
-common denominator.  The kernel keys the monomial coefficients by a
-multiset code, sum_a 1 << (bits * a) over the entries a of the padded
-partition with bits = n.bit_length(): every field holds a multiplicity
-up to n, so a rearrangement of the exponents has the same code, and the
-walk adds one field per position instead of sorting at every leaf.
-Kostka columns are grown by horizontal strips on beta numbers and keyed
-by them; they serve the questions that really are Kostka columns, above
-all the formula's ``tau``.  The elementary basis goes through the dual
-columns K_{mu^T, lam}, grown the same way by vertical strips: e to s
-sums one column per term, and s to e is the unitriangular elimination of
-``elementary_integers``, one column per emitted coefficient subtracted
-from a bead-keyed residual.  Both run on integers, wrapped like the m
-and s changes.
+coefficient of f is the coefficient of x^beta in a_delta * f (Macdonald,
+*Symmetric Functions*, I.3), a signed sum over the permutations w with
+beta - w(delta) >= 0, read in two flat stages: the bottom walk gives
+positions n-1 .. 3 their entries of delta and depends only on the bottom
+beads beta_3 .. beta_{n-1}, not on f; the top-three close is one loop
+over the walk's leaves with six signed reads of f each.  Monomial to
+Schur (``schur_integers``) walks each bottom once for all its shapes;
+Schur to monomial (``monomial_integers``) is the unitriangular
+elimination that reads each shape on the monomial part found so far.
+The kernel keys the monomial coefficients by a multiset code, sum_a 1 <<
+(bits * a) over the entries a of the padded partition, bits =
+n.bit_length(): a field holds a multiplicity up to n, so a rearrangement
+of the exponents has the same code and the walk adds one field per
+position instead of sorting at every leaf.  Kostka columns are grown by
+horizontal strips on beads; they serve the formula's ``tau``.  The
+elementary basis goes through the dual columns K_{mu^T, lam}, grown by
+vertical strips: e to s sums one column per term, and s to e
+(``elementary_integers``) subtracts one column per emitted coefficient
+from the residual.  Every change runs on integers, and the SymPoly base
+changes wrap them over one common denominator.
 
 Products go through the expansion into the integer
 :class:`~wkintersect.laurent.LaurentPoly` (``to_exponent_poly``, every
@@ -51,6 +54,7 @@ only read.
 
 import math
 from itertools import combinations, permutations
+from operator import add
 
 from .rational import RAT_ONE, RAT_ZERO, Rat
 from .partitions import (
@@ -248,71 +252,72 @@ def _alternant_coefficient(get, pw, beta, leaves):
     return total
 
 
-def _powers(keys, n):
-    """[1 << (bits * a)] for every exponent a that the reads of one base
-    change with these keys meet: up to the top degree plus n - 1."""
-    return [1 << (n.bit_length() * a) for a in range(max(map(sum, keys), default=0) + n)]
+def _powers(top, n):
+    """[1 << (bits * a)] for every exponent a <= top: the reads of one base
+    change meet exponents up to the largest bead of its shapes."""
+    return [1 << (n.bit_length() * a) for a in range(top + 1)]
 
 
-def _shapes_to_read(keys, n, width=None):
-    """The shapes mu whose coefficient a change between the m and s bases,
-    or from s to e, reads, degree by degree in reverse-lex order: mu at most
-    the lex-leading key of its degree (m_lam occurs in s_nu, and s_lam in
-    e_{nu^T}, only for lam <= nu in dominance, so every other coefficient
-    vanishes) and, with ``width``, mu_1 <= width.  Keys may be trimmed or
-    padded to n parts."""
+def _shapes_to_read(keys, n, width=None, monomial=False):
+    """(mu, beads of mu) for every shape mu whose coefficient a change
+    between the m and s bases, or from s to e, reads, degree by degree in
+    reverse-lex order: at most the lex-leading key of its degree (m_lam
+    occurs in s_nu, and s_lam in e_{nu^T}, only for lam <= nu in dominance,
+    so every other coefficient vanishes) and, with ``width``, mu_1 <=
+    width.  The keys are beads, or with ``monomial`` partitions padded to
+    n parts; only the lead of each degree is moved into beads."""
     lead = {}
-    for lam in keys:
-        lam = lam + (0,) * (n - len(lam))
-        d = sum(lam)
-        if d not in lead or lam > lead[d]:
-            lead[d] = lam
-    for d, top in lead.items():
-        cap = top[0] if width is None else min(width, top[0])
-        for mu in enumerate_partitions(d, n, max_part=cap):
-            if mu + (0,) * (n - len(mu)) <= top:
-                yield mu
+    for key in keys:
+        d = sum(key)
+        if d not in lead or key > lead[d]:
+            lead[d] = key
+    delta = tuple(range(n - 1, -1, -1))
+    for top in lead.values():
+        if monomial:
+            top = tuple(map(add, top, delta))
+        cap = top[0] - n + 1 if width is None else min(width, top[0] - n + 1)
+        for mu in enumerate_partitions(sum(top) - sum(delta), n, max_part=cap):
+            beta = tuple(map(add, mu + (0,) * (n - len(mu)), delta))
+            if beta <= top:
+                yield mu, beta
 
 
 def schur_integers(padded, n, width=None):
-    """{mu: [s_mu] f} != 0 for an integer f = {partition padded to n parts:
-    [m_lam] f}, read off the alternant one shape at a time; with ``width``
-    only the shapes with mu_1 <= width are read.  The reads are
-    independent, so the shapes are grouped by their bottom beads beta[3:]
-    and each bottom is walked once, its leaves dropped after its group."""
+    """{beta: [s_mu] f} != 0, beta the beads of mu, for an integer
+    f = {partition padded to n parts: [m_lam] f}, read off the alternant;
+    with ``width`` only the shapes with mu_1 <= width are read.  The reads
+    are independent, so each bottom beta[3:] is walked once for all its
+    shapes, and its leaves are dropped after them."""
     get = {_multiset_code(lam, n): c for lam, c in padded.items()}.get
-    pw = _powers(padded, n)
+    pw = _powers(max(map(sum, padded), default=0) + n - 1, n)
     groups = {}
-    for mu in _shapes_to_read(padded, n, width):
-        beta = hook_numbers(mu, n)
-        groups.setdefault(beta[3:], []).append((mu, beta))
+    for _, beta in _shapes_to_read(padded, n, width, monomial=True):
+        groups.setdefault(beta[3:], []).append(beta)
     out = {}
     for bottom, shapes in groups.items():
         leaves = _bottom_leaves(bottom, n, pw)
-        for mu, beta in shapes:
+        for beta in shapes:
             c = _alternant_coefficient(get, pw, beta, leaves)
             if c:
-                out[mu] = c
+                out[beta] = c
     return out
 
 
 def monomial_integers(schur, n):
-    """{lam: [m_lam] f} != 0 for an integer f = {mu: [s_mu] f}, the mirror
-    of :func:`schur_integers`: [s_lam] f = sum_{nu >= lam} S_{nu,lam}
-    [m_nu] f with S_{lam,lam} = 1, so walking each degree in reverse-lex
-    order gives [m_lam] f = [s_lam] f - [s_lam](monomial part found so
-    far), one alternant read per shape.  The leaves of a bottom walk do not
-    depend on the part found, so each bottom is walked once per call.  Keys
-    are trimmed partitions."""
+    """{lam: [m_lam] f} != 0, lam trimmed, for an integer f = {beta:
+    [s_mu] f} keyed by the beads of mu; the mirror of :func:`schur_integers`:
+    [s_lam] f = sum_{nu >= lam} S_{nu,lam} [m_nu] f with S_{lam,lam} = 1,
+    so walking each degree in reverse-lex order gives [m_lam] f = [s_lam] f
+    - [s_lam](monomial part found so far), one alternant read per shape and
+    one walk per bottom, whose leaves do not depend on the part found."""
     out = {}
     found = {}
-    pw = _powers(schur, n)
+    pw = _powers(max(schur, default=(0,))[0], n)  # the largest bead
     walks = {}
-    for lam in _shapes_to_read(schur, n):
-        beta = hook_numbers(lam, n)
+    for lam, beta in _shapes_to_read(schur, n):
         if beta[3:] not in walks:
             walks[beta[3:]] = _bottom_leaves(beta[3:], n, pw)
-        c = schur.get(lam, 0) - _alternant_coefficient(found.get, pw, beta, walks[beta[3:]])
+        c = schur.get(beta, 0) - _alternant_coefficient(found.get, pw, beta, walks[beta[3:]])
         if c:
             found[_multiset_code(lam + (0,) * (n - len(lam)), n)] = c
             out[lam] = c
@@ -320,21 +325,21 @@ def monomial_integers(schur, n):
 
 
 def elementary_integers(schur, n):
-    """{lam: [e_lam] f} != 0 for an integer f = {mu: [s_mu] f}, the mirror
-    of :func:`monomial_integers` on dual columns: e_{rho^T} = sum_{mu <=
-    rho} K_{mu^T, rho^T} s_mu with K_{rho^T, rho^T} = 1, so walking each
-    degree in reverse-lex order gives [e_{rho^T}] f as the residual at rho,
-    and one dual column per emitted coefficient is subtracted from the
-    residual (keyed by beta numbers).  Keys are trimmed partitions."""
-    residual = {hook_numbers(mu, n): c for mu, c in schur.items()}
+    """{lam: [e_lam] f} != 0, lam trimmed, for an integer f = {beta:
+    [s_mu] f} keyed by the beads of mu; the mirror of
+    :func:`monomial_integers` on dual columns: e_{rho^T} = sum_{mu <= rho}
+    K_{mu^T, rho^T} s_mu with K_{rho^T, rho^T} = 1, so walking each degree
+    in reverse-lex order gives [e_{rho^T}] f as the residual at rho, and one
+    dual column per emitted coefficient is subtracted from the residual."""
+    residual = dict(schur)
     get = residual.get
     out = {}
-    for rho in _shapes_to_read(schur, n):
-        c = get(hook_numbers(rho, n))
+    for rho, beta in _shapes_to_read(schur, n):
+        c = get(beta)
         if c:
             rho_t = transpose(rho)
-            for beta, k in dual_kostka_column(rho_t, n).items():
-                residual[beta] = get(beta, 0) - c * k
+            for b, k in dual_kostka_column(rho_t, n).items():
+                residual[b] = get(b, 0) - c * k
             out[rho_t] = c
     if any(residual.values()):
         raise AssertionError("Schur-to-elementary elimination left a residual")
@@ -516,18 +521,18 @@ class SymPoly:
             return self.change_basis(SCHUR).change_basis(target)
         n = self.n
         den, items = _integer_terms(self.terms)
-        if self.basis == MONOMIAL:
-            out = schur_integers({lam + (0,) * (n - len(lam)): c for lam, c in items}, n)
-        elif self.basis == ELEMENTARY:
-            acc = {}
-            for lam, c in items:
-                for beta, k in dual_kostka_column(lam, n).items():
-                    acc[beta] = acc.get(beta, 0) + c * k
-            out = {shape_of_beads(beta): v for beta, v in acc.items() if v}
-        elif target == MONOMIAL:
-            out = monomial_integers(dict(items), n)
+        if self.basis == SCHUR:
+            kernel = monomial_integers if target == MONOMIAL else elementary_integers
+            out = kernel({hook_numbers(mu, n): c for mu, c in items}, n)
         else:
-            out = elementary_integers(dict(items), n)
+            if self.basis == MONOMIAL:
+                beads = schur_integers({lam + (0,) * (n - len(lam)): c for lam, c in items}, n)
+            else:
+                beads = {}
+                for lam, c in items:
+                    for beta, k in dual_kostka_column(lam, n).items():
+                        beads[beta] = beads.get(beta, 0) + c * k
+            out = {shape_of_beads(beta): v for beta, v in beads.items() if v}
         return SymPoly._make(n, target, {k: Rat(c, den) for k, c in out.items()})
 
     # -- textual form ------------------------------------------------------

@@ -21,7 +21,9 @@ which reads the ``DTable`` blocks and expands its determinant by ``SymPoly``
 products (``_sym_laplace_det``) before returning ``Correlator`` tables.
 
 The small tools that these references and the tests use but no production
-path needs come first: the dominance order ``dominates``, the half-integer
+path needs come first: the dominance order ``dominates``, H's weight
+gnum(mu) cell by cell (``gnum_cells``, the reference for the bead form
+that production reads), the half-integer
 Gamma ratio ``gamma_half_ratio`` of the determinant's entries and of the
 ``w_gn`` weights, ``complete_homogeneous`` and ``scale`` for ``SymPoly``s,
 and ``evaluate``, the exact value of a ``SymPoly`` or ``LaurentPoly`` at
@@ -50,9 +52,9 @@ from wkintersect.cli import (
     cmd_verify,
     default_cache_dir,
 )
-from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat
+from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat, dden
 from wkintersect.partitions import hook_numbers, partition_class, ptrim
-from wkintersect.hop import _dden, _gnum, barnes_constant
+from wkintersect.hop import barnes_constant
 from wkintersect.intersect import Correlator
 from wkintersect.pengine import DTable, degree_rn, r_max
 from wkintersect.sympoly import (
@@ -80,6 +82,17 @@ def dominates(lam, mu):
         if a < b:
             return False
     return True
+
+
+def gnum_cells(mu):
+    """gnum(mu) = prod_i prod_{j<=mu_i} (2(j-i)+3), one factor per cell
+    (row i, column j) of mu: the reference for the bead form of
+    :func:`wkintersect.hop.times_gnum`."""
+    v = 1
+    for i, row in enumerate(mu, start=1):
+        for j in range(1, row + 1):
+            v *= 2 * (j - i) + 3
+    return v
 
 
 def gamma_half_ratio(a_num, shift):
@@ -639,9 +652,9 @@ def apply_inverse_elementary(n, lam):
     out = {}
     for beta, kdual in dual_kostka_column(lam, n).items():
         mu = shape_of_beads(beta)
-        gm = kdual * _gnum(mu)
+        gm = kdual * gnum_cells(mu)
         for nu, k in kostka_row_restricted(mu, n).items():
-            w = out.get(nu, RAT_ZERO) + Rat(gm * k, _dden(nu))
+            w = out.get(nu, RAT_ZERO) + Rat(gm * k, dden(nu))
             if w:
                 out[nu] = w
             elif nu in out:
@@ -674,8 +687,8 @@ def bootstrap_unpruned(r_top, n, a_provider):
         img = {}
         for lam, c in a_provider(g).change_basis(MONOMIAL).terms.items():
             for mu, s in inverse_kostka_row(lam, n).items():
-                img[mu] = img.get(mu, 0) + c * _dden(lam) * s
-        term = {mu: v / _gnum(mu) for mu, v in img.items() if v}
+                img[mu] = img.get(mu, 0) + c * dden(lam) * s
+        term = {mu: v / gnum_cells(mu) for mu, v in img.items() if v}
         for r in range(g, r_top + 1):
             k = r - g
             c = Rat((-1) ** k * (1 << g), 12 ** k * math.factorial(k))

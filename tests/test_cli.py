@@ -37,6 +37,16 @@ def test_tau_domain_error(tmp_path):
     assert code == 2
 
 
+def test_empty_power_is_a_usage_error(tmp_path, capsys):
+    # an empty index would otherwise be dropped, answering another question
+    for powers in ("1,,2", "1,0,"):
+        code, out = run_cli(["tau", "--genus", "1", "--powers", powers], tmp_path)
+        assert code == 2 and out == ""
+        assert "empty index" in capsys.readouterr().err
+    code, out = run_cli(["tau", "--genus", "1", "--powers", "2, 0"], tmp_path)
+    assert code == 0 and out == "1/24\n"
+
+
 def test_negative_genus_is_a_domain_error(tmp_path, capsys):
     for args in (
         ["agn", "--genus", "-1", "-n", "5"],
@@ -431,6 +441,8 @@ CLI_TEST_ARGV = [
     "tau --genus 1 --powers 0,0,3",
     "tau --genus 0 --powers 0,0",
     "tau --genus 1 --powers -3",
+    "tau --genus 1 --powers 1,,2",
+    "tau --genus 1 --powers 1,0,",
     "tau --genus -1 --powers 0,0,0,0,0",
     "tau --genus 700 --powers 2098",
     "tau --genus 0 --powers " + ",".join(["1497"] + ["0"] * 1499),

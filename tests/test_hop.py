@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from brute import apply_inverse_elementary, dominates, h_raw, scale
-from wkintersect.rational import Rat, double_factorial_odd_int
+from brute import apply_inverse_elementary, dominates, gnum_cells, h_raw, scale
+from wkintersect.rational import Rat, dden, double_factorial_odd_int
 from wkintersect.partitions import enumerate_partitions, hook_numbers, partition_class
-from wkintersect.hop import HContext, _dden, _gnum, barnes_constant
+from wkintersect.hop import HContext, barnes_constant, times_gnum
 from wkintersect.sympoly import ELEMENTARY, MONOMIAL, SCHUR, SymPoly, kostka_column
 
 
@@ -20,7 +20,20 @@ def random_sympoly(n, degrees, rng):
 
 def n_factor(mu, lam):
     """The weight N_{mu,lam} = gnum(mu) / dden(lam) that H and H^{-1} scale by."""
-    return Rat(_gnum(mu), _dden(lam))
+    return Rat(gnum_cells(mu), dden(lam))
+
+
+def test_bead_gnum_matches_the_cell_product():
+    # gnum(mu) = prod_i phi(beta_i) / phi(n-1-i) on the beads against the
+    # product over the cells of mu, on every shape of weight <= 14, n <= 7
+    count = 0
+    for n in range(1, 8):
+        shapes = [mu for d in range(15) for mu in partition_class(d, n)]
+        got = times_gnum({hook_numbers(mu, n): 1 for mu in shapes}, n)
+        for mu in shapes:
+            assert got[hook_numbers(mu, n)] == gnum_cells(mu), (n, mu)
+        count += len(shapes)
+    assert count == 1612
 
 
 def test_n_factor_examples():

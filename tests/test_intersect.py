@@ -6,10 +6,9 @@ import tracemalloc
 
 import pytest
 
-from brute import closed_a1n, dominates, gamma_half_ratio, laplace_det, wn_det_truncated
-from wkintersect.rational import Rat
+from brute import closed_a1n, dominates, gamma_half_ratio, gnum_cells, laplace_det, wn_det_truncated
+from wkintersect.rational import Rat, dden
 from wkintersect import hop, oracle, sympoly
-from wkintersect.hop import _dden, _gnum
 from wkintersect.intersect import (
     Correlator,
     a_gn,
@@ -143,8 +142,8 @@ def _paper_sums(g, n, dtable, mus):
 
 def _tau_from_sums(g, lam, n, sums):
     col = {shape_of_beads(b): k for b, k in kostka_column(lam, n).items()}
-    total = sum(sums[mu] * k * _gnum(mu) for mu, k in col.items())
-    return total / (_dden(lam) * 24 ** g)
+    total = sum(sums[mu] * k * gnum_cells(mu) for mu, k in col.items())
+    return total / (dden(lam) * 24 ** g)
 
 
 def _w_gn_from_sums(g, n, sums):

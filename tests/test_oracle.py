@@ -5,8 +5,7 @@ import tracemalloc
 import pytest
 
 from brute import closed_a0n, closed_a1n, dvv_fraction, dvv_integer, evaluate
-from wkintersect.rational import Rat
-from wkintersect.hop import _dden
+from wkintersect.rational import Rat, dden
 from wkintersect.partitions import partition_class, ptrim
 from wkintersect import intersect, oracle
 from wkintersect.sympoly import MONOMIAL
@@ -244,13 +243,13 @@ def test_integer_class_capped_at_the_box_read():
         want = {}
         for lam in partition_class(3 * g - 3 + n, n):
             d = lam + (0,) * (n - len(lam))
-            dden = math.prod(math.prod(range(2 * x + 1, 0, -2)) for x in d)
-            t = oracle.virasoro_tau(g, d) * scale * dden
+            dfact = math.prod(math.prod(range(2 * x + 1, 0, -2)) for x in d)
+            t = oracle.virasoro_tau(g, d) * scale * dfact
             assert t.denominator == 1
             if t:
                 want[d] = int(t)
         assert full == want
-        assert {lam: oracle.a_gn_oracle(g, n).terms[ptrim(lam)] * scale * _dden(lam)
+        assert {lam: oracle.a_gn_oracle(g, n).terms[ptrim(lam)] * scale * dden(lam)
                 for lam in full} == full
         _, capped = oracle.integer_class(g, n, cap)
         assert capped == {lam: t for lam, t in full.items() if lam[0] <= cap}

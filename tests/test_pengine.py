@@ -97,16 +97,22 @@ N7_TABLE = os.path.join(os.path.dirname(__file__), "dtable_n7.txt")
 BENCH_TABLE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "dtable_n3-6.txt")
 
 
-@pytest.mark.extended
-def test_n7_table_certified_against_the_oracle():
-    # A fresh full n = 7 build writes the committed table byte for byte, and
-    # a_gn(g, 7) read from it equals the oracle's for every g <= r_max(7).
-    # H is invertible, so that fixes every P_{r,7} by induction on r.
-    oracle.clear_memo()
+def test_fresh_n7_build_writes_the_committed_table():
+    # a full n = 7 bootstrap from an empty table, through every integer
+    # kernel of H, serialises to the committed table byte for byte
     table = DTable()
     table.ensure_upto(r_max(7), 7)
     with open(N7_TABLE, encoding="ascii") as fh:
         assert table.dumps() == fh.read()
+
+
+@pytest.mark.extended
+def test_n7_table_certified_against_the_oracle():
+    # a_gn(g, 7) read from the committed table equals the oracle's for every
+    # g <= r_max(7).  H is invertible, so that fixes every P_{r,7} by
+    # induction on r, and the test above ties the table to a fresh build.
+    oracle.clear_memo()
+    table = DTable.load(N7_TABLE)
     for g in range(r_max(7) + 1):
         assert intersect.a_gn(g, 7, dtable=table) == oracle.a_gn_oracle(g, 7), g
 
