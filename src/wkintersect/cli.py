@@ -17,8 +17,8 @@ import time
 import types
 
 from . import intersect, oracle, sympoly
-from .partitions import format_partition, partition_class
-from .pengine import DTable, degree_rn, r_max
+from .partitions import count_partitions, format_partition, partition_class
+from .pengine import MAX_CLASS_SIZE, DTable, degree_rn, r_max
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -138,13 +138,36 @@ def cmd_dtable(args, out):
     return EXIT_OK
 
 
+def _box_size(g_max, n_max):
+    """The number of indices with g <= g_max and n <= n_max, counted genus
+    by genus without enumerating them, or, once it passes MAX_CLASS_SIZE,
+    some number above it.  Each genus g >= 1 holds the index (3g - 2) of
+    n = 1, so a g_max past the budget is over it before any count."""
+    if g_max > MAX_CLASS_SIZE:
+        return g_max
+    total = 0
+    for g in range(g_max + 1):
+        for n in range(1, n_max + 1):
+            if 2 * g - 2 + n > 0:
+                total += count_partitions(degree_rn(g, n), n, MAX_CLASS_SIZE)
+                if total > MAX_CLASS_SIZE:
+                    return total
+    return total
+
+
 def cmd_verify(args, out):
     """Every index with g <= g_max and n <= n_max, formula against oracle.
     At n <= 2 ``tau`` delegates to the oracle, so those indices compare the
-    oracle with itself; the per-n lines say which route each n took."""
+    oracle with itself; the per-n lines say which route each n took.  A box
+    of more than MAX_CLASS_SIZE indices is refused before any is computed."""
     # 2g - 2 + n is largest at the top corner of the box
     if args.g_max < 0 or args.n_max < 1 or 2 * args.g_max - 2 + args.n_max <= 0:
         raise ValueError("no admissible index with g <= %d, n <= %d" % (args.g_max, args.n_max))
+    if _box_size(args.g_max, args.n_max) > MAX_CLASS_SIZE:
+        raise ValueError(
+            "verify box g <= %d, n <= %d holds more than %d indices"
+            % (args.g_max, args.n_max, MAX_CLASS_SIZE)
+        )
     table = load_table(args)
     counts = {}
     bad = []

@@ -3,17 +3,16 @@ lattice, with exact derivative calculus in integers: the one polynomial
 type of the package.
 
 Exponents are stored doubled, so ``u1^(3/2)`` carries 3 in the first
-slot.  This holds for every key everywhere: ``SymPoly.to_exponent_poly``
-doubles the exponents of the monomials it expands, and
-``SymPoly.from_exponent_poly`` halves them on the way back and rejects an
-odd one.  A polynomial holds integer coefficients over one denominator:
-the value is sum_k terms[k] u^(k/2) / den.  Products multiply
-denominators, a derivative multiplies each coefficient by its doubled
-exponent and doubles the denominator, and a sum brings both sides over
-the lcm, so no loop builds a rational; the caller divides once per
-coefficient it keeps.  A product may drop every term above a doubled
-degree, which is how the truncated series (the direct route's
-exp(+-p_3/12), the oracle's classical series) stay finite.
+slot.  This holds for every key everywhere: the oracle's classical series
+halve them on the way into the monomial basis and reject an odd one
+(``oracle._from_exponent_poly``).  A polynomial holds integer
+coefficients over one denominator: the value is sum_k terms[k] u^(k/2) /
+den.  Products multiply denominators, a derivative multiplies each
+coefficient by its doubled exponent and doubles the denominator, and a
+sum brings both sides over the lcm, so no loop builds a rational; the
+caller divides once per coefficient it keeps.  A product may drop every
+term above a doubled degree, which is how the truncated series (the
+direct route's exp(+-p_3/12), the oracle's classical series) stay finite.
 
 The direct determinantal computation works entirely in this
 representation and finishes by antisymmetrizing, which collapses a

@@ -6,8 +6,9 @@ evaluates it with aggressive memoization and supplies the generating
 polynomials the coefficient tables are built from.  Exact truncations of
 the classical one-, two- and three-point series give further independent
 anchors.  The series run on the integer LaurentPoly of :mod:`laurent`
-(exponents doubled), over one denominator per polynomial, and every
-product drops the terms above the genus it is asked for as it is formed.
+(exponents doubled), over one denominator per polynomial, every product
+drops the terms above the genus it is asked for as it is formed, and
+``_from_exponent_poly`` collects each genus piece into the monomial basis.
 
 The memo holds integers.  For d sorted in descending order it stores
 
@@ -50,7 +51,7 @@ import math
 from itertools import permutations
 
 from .rational import Rat, dden, double_factorial_odd_int
-from .partitions import enumerate_partitions, partition_class, ptrim
+from .partitions import enumerate_partitions, partition_class, ptrim, z_factor
 from .laurent import LaurentPoly, exp_p3
 from .sympoly import MONOMIAL, SymPoly
 
@@ -233,6 +234,25 @@ def _genus_pieces(acc, g_max):
     return {g: LaurentPoly(acc.n, t, total.den << g) for g, t in out.items()}
 
 
+def _from_exponent_poly(poly):
+    """Collect a symmetric LaurentPoly into the monomial basis, halving its
+    exponents.  Raises ValueError on an odd or negative exponent and unless
+    every orbit is present with one coefficient."""
+    n = poly.n
+    reps = {}
+    seen = {}
+    for k, v in poly.terms.items():
+        if any(e % 2 or e < 0 for e in k):
+            raise ValueError("not a polynomial in u: exponent %r" % (k,))
+        lam = ptrim(sorted((e // 2 for e in k), reverse=True))
+        seen[lam] = seen.get(lam, 0) + 1
+        if reps.setdefault(lam, v) != v:
+            raise ValueError("polynomial is not symmetric")
+    if any(count * z_factor(lam, n) != math.factorial(n) for lam, count in seen.items()):
+        raise ValueError("polynomial is not symmetric")
+    return SymPoly(n, MONOMIAL, {lam: Rat(v, poly.den) for lam, v in reps.items()})
+
+
 def series_one_point(g_max):
     """Per-genus pieces of the one-point series e^{p3/12} / (2 e_1^2)."""
     exp = exp_p3(1, 1, 6 * g_max)
@@ -261,7 +281,7 @@ def series_two_point(g_max):
         w = den // (double_factorial_odd_int(2 * k + 1) << k)
         terms.update((key, w * c) for key, c in term.terms.items())
     pieces = _genus_pieces(LaurentPoly(n, terms, den), g_max)
-    return {g: SymPoly.from_exponent_poly(pieces[g].divide_exact(e1)) for g in range(1, g_max + 1)}
+    return {g: _from_exponent_poly(pieces[g].divide_exact(e1)) for g in range(1, g_max + 1)}
 
 
 def zagier_s_polynomial(r):
@@ -306,7 +326,7 @@ def series_three_point(g_max):
                 terms[key] = terms.get(key, 0) + w * c
             term = term.mul(delta, cap)
     pieces = _genus_pieces(LaurentPoly(n, terms, den), g_max)
-    return {g: SymPoly.from_exponent_poly(piece) for g, piece in pieces.items()}
+    return {g: _from_exponent_poly(piece) for g, piece in pieces.items()}
 
 
 def series_reference(which, g_max):

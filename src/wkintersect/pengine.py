@@ -89,6 +89,8 @@ def r_max(n):
 
 
 def _check_index(r, n):
+    if n < 3:
+        raise ValueError("the tables start at n = 3, got n=%d" % n)
     if not 0 <= r <= r_max(n):
         raise ValueError("component index %d out of range for n=%d" % (r, n))
 
@@ -132,8 +134,6 @@ def bootstrap_all(r_top, n):
     ``bead_view``), in integers from the oracle's classes (lam_1 <= 3n - 6)
     to the table, restricted to the shapes with mu_1 <= 2n - 5 (see the
     module docstring)."""
-    if n < 3:
-        raise ValueError("the bootstrap starts at n = 3")
     _check_index(r_top, n)
     d = degree_rn(r_top, n)
     if count_partitions(d, n, MAX_CLASS_SIZE) > MAX_CLASS_SIZE:

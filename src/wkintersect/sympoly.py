@@ -38,11 +38,6 @@ vertical strips: e to s sums one column per term, and s to e
 from the residual.  Every change runs on integers, and the SymPoly base
 changes wrap them over one common denominator.
 
-Products go through the expansion into the integer
-:class:`~wkintersect.laurent.LaurentPoly` (``to_exponent_poly``, every
-exponent doubled) and the collection back into the monomial basis
-(``from_exponent_poly``); no table or query path multiplies two SymPolys.
-
 No column, Kostka or dual, is kept between calls: each question builds
 the columns it reads and drops them, so a sweep over many indices holds
 no more than one index needs.  The one memo between calls is outside
@@ -53,19 +48,10 @@ only read.
 """
 
 import math
-from itertools import combinations, permutations
 from operator import add
 
-from .rational import RAT_ONE, RAT_ZERO, Rat
-from .partitions import (
-    enumerate_partitions,
-    format_partition,
-    hook_numbers,
-    ptrim,
-    transpose,
-    z_factor,
-)
-from .laurent import LaurentPoly
+from .rational import RAT_ZERO, Rat
+from .partitions import enumerate_partitions, format_partition, hook_numbers, ptrim, transpose
 
 MONOMIAL = "m"
 ELEMENTARY = "e"
@@ -352,7 +338,9 @@ def elementary_integers(schur, n):
 
 
 class SymPoly:
-    """Basis-tagged sparse linear combination of symmetric basis elements."""
+    """Basis-tagged sparse linear combination of symmetric basis elements:
+    the value the API returns, read through ``terms``, ``change_basis`` and
+    ``text``.  It carries no arithmetic; the kernels above do the work."""
 
     __slots__ = ("n", "basis", "terms")
 
@@ -387,48 +375,6 @@ class SymPoly:
         poly.terms = terms
         return poly
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n, basis=MONOMIAL):
-        return cls(n, basis, {})
-
-    @classmethod
-    def one(cls, n, basis=MONOMIAL):
-        return cls(n, basis, {(): RAT_ONE})
-
-    @classmethod
-    def basis_element(cls, basis, lam, n):
-        return cls(n, basis, {ptrim(lam): RAT_ONE})
-
-    # -- ring-ish operations -------------------------------------------
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch (%s vs %s)" % (self.basis, other.basis))
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            w = terms.get(k, RAT_ZERO) + v
-            if w:
-                terms[k] = w
-            elif k in terms:
-                del terms[k]
-        return SymPoly._make(self.n, self.basis, terms)
-
-    def __neg__(self):
-        return SymPoly._make(self.n, self.basis, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Exact product, returned in the monomial basis."""
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        return SymPoly.from_exponent_poly(self.to_exponent_poly() * other.to_exponent_poly())
-
     def __eq__(self, other):
         return (
             isinstance(other, SymPoly)
@@ -447,65 +393,6 @@ class SymPoly:
                 "%s: %s" % (format_partition(k), v) for k, v in sorted(self.terms.items(), reverse=True)
             ),
         )
-
-    # -- expansions ------------------------------------------------------
-
-    def to_exponent_poly(self):
-        """The expansion into a :class:`~wkintersect.laurent.LaurentPoly`,
-        each exponent doubled, integers over one denominator."""
-        if self.basis == SCHUR:
-            return self.change_basis(MONOMIAL).to_exponent_poly()
-        n = self.n
-        den, items = _integer_terms(self.terms)
-        if self.basis == MONOMIAL:
-            out = {}
-            for lam, c in items:
-                doubled = tuple(2 * a for a in lam) + (0,) * (n - len(lam))
-                out.update(dict.fromkeys(set(permutations(doubled)), c))
-            return LaurentPoly(n, out, den)
-        ek = {}
-        total = LaurentPoly(n)
-        for lam, c in items:
-            acc = LaurentPoly.constant(n, c)
-            for part in lam:
-                if part not in ek:
-                    subsets = combinations(range(n), part)
-                    ek[part] = LaurentPoly(n, {tuple(2 * (i in s) for i in range(n)): 1 for s in subsets})
-                acc = acc * ek[part]
-            total = total + acc
-        return LaurentPoly(n, total.terms, den)
-
-    @classmethod
-    def from_exponent_poly(cls, poly):
-        """Collect a symmetric LaurentPoly back into the monomial basis,
-        halving its exponents.  Raises ValueError on an odd or negative
-        exponent and unless every orbit is present with one coefficient."""
-        n = poly.n
-        reps = {}
-        seen = {}
-        for k, v in poly.terms.items():
-            if any(e % 2 or e < 0 for e in k):
-                raise ValueError("not a polynomial in u: exponent %r" % (k,))
-            lam = ptrim(sorted((e // 2 for e in k), reverse=True))
-            seen[lam] = seen.get(lam, 0) + 1
-            if reps.setdefault(lam, v) != v:
-                raise ValueError("polynomial is not symmetric")
-        if any(count * z_factor(lam, n) != math.factorial(n) for lam, count in seen.items()):
-            raise ValueError("polynomial is not symmetric")
-        return cls(n, MONOMIAL, {lam: Rat(v, poly.den) for lam, v in reps.items()})
-
-    def specialize_last_to_zero(self):
-        """Set the last variable to zero, landing in n-1 variables."""
-        if self.n < 2:
-            raise ValueError("need at least two variables to drop one")
-        m = self.n - 1
-        if self.basis == MONOMIAL:
-            return SymPoly(m, MONOMIAL, {k: v for k, v in self.terms.items() if len(k) <= m})
-        if self.basis == ELEMENTARY:
-            return SymPoly(m, ELEMENTARY, {k: v for k, v in self.terms.items() if not k or k[0] <= m})
-        return self.change_basis(MONOMIAL).specialize_last_to_zero()
-
-    # -- base change ------------------------------------------------------
 
     def change_basis(self, target):
         """The same polynomial in the target basis.  Each change to or from
@@ -534,8 +421,6 @@ class SymPoly:
                         beads[beta] = beads.get(beta, 0) + c * k
             out = {shape_of_beads(beta): v for beta, v in beads.items() if v}
         return SymPoly._make(n, target, {k: Rat(c, den) for k, c in out.items()})
-
-    # -- textual form ------------------------------------------------------
 
     def text(self):
         """Canonical textual form: one term per line, reverse-lex order."""

@@ -8,9 +8,11 @@ coefficient as a sum over all n! permutations.
 None of it shares code with the production paths, except that the
 formula-level references at the end (H^{-1} of elementary products, the
 unpruned bootstrap) are assembled from the library's whole Kostka columns,
-and the bialternant and the differential H run on the library's Laurent
-polynomials (the one polynomial type of :mod:`wkintersect.laurent`, which
-the production paths do not use).
+and the bialternant, the products ``mul`` and the differential H run on
+the library's Laurent polynomials (the one polynomial type of
+:mod:`wkintersect.laurent`, which the production paths do not use), the
+first two collected into the monomial basis by the collector of the
+oracle's classical series (``oracle._from_exponent_poly``).
 
 The paper's alternative forms that no production path evaluates live
 here too: the scalar cofactor determinant ``laplace_det``, the trace-shift
@@ -25,9 +27,12 @@ path needs come first: the dominance order ``dominates``, H's weight
 gnum(mu) cell by cell (``gnum_cells``, the reference for the bead form
 that production reads), the half-integer
 Gamma ratio ``gamma_half_ratio`` of the determinant's entries and of the
-``w_gn`` weights, ``complete_homogeneous`` and ``scale`` for ``SymPoly``s,
-and ``evaluate``, the exact value of a ``SymPoly`` or ``LaurentPoly`` at
-a rational point.
+``w_gn`` weights, ``complete_homogeneous`` and the arithmetic of
+``SymPoly`` values (which have none of their own): ``scale``, ``add``,
+``expand`` into a ``LaurentPoly`` (every exponent doubled) and ``mul``,
+the product by expanding both factors and collecting the result into the
+monomial basis; and ``evaluate``, the exact value of a ``SymPoly`` or
+``LaurentPoly`` at a rational point.
 
 ``build_parser`` is the argparse parser of the ``wk`` command line from
 before its one table of commands, kept as the reference that
@@ -38,7 +43,7 @@ import argparse
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from wkintersect import laurent
 from wkintersect.cli import (
@@ -56,6 +61,7 @@ from wkintersect.rational import RAT_ONE, RAT_ZERO, Rat, dden
 from wkintersect.partitions import hook_numbers, partition_class, ptrim
 from wkintersect.hop import barnes_constant
 from wkintersect.intersect import Correlator
+from wkintersect.oracle import _from_exponent_poly
 from wkintersect.pengine import DTable, degree_rn, r_max
 from wkintersect.sympoly import (
     ELEMENTARY,
@@ -119,7 +125,7 @@ def gamma_half_ratio(a_num, shift):
 def complete_homogeneous(k, n):
     """h_k = sum of all monomials of degree k, in the monomial basis."""
     if k < 0:
-        return SymPoly.zero(n)
+        return SymPoly(n, MONOMIAL)
     return SymPoly(n, MONOMIAL, {lam: RAT_ONE for lam in partition_class(k, n)})
 
 
@@ -127,8 +133,53 @@ def scale(poly, c):
     """c times a SymPoly, in its basis."""
     c = Rat(c)
     if not c:
-        return SymPoly.zero(poly.n, poly.basis)
+        return SymPoly(poly.n, poly.basis)
     return SymPoly._make(poly.n, poly.basis, {k: c * v for k, v in poly.terms.items()})
+
+
+def add(*polys):
+    """The sum of SymPolys of one width and one basis, in that basis."""
+    n, basis = polys[0].n, polys[0].basis
+    terms = {}
+    for poly in polys:
+        if (poly.n, poly.basis) != (n, basis):
+            raise ValueError("width or basis mismatch")
+        for k, v in poly.terms.items():
+            terms[k] = terms.get(k, RAT_ZERO) + v
+    return SymPoly._make(n, basis, {k: v for k, v in terms.items() if v})
+
+
+def expand(poly):
+    """A SymPoly expanded into a LaurentPoly, each exponent doubled,
+    integers over one denominator: a monomial one orbit by orbit, an
+    elementary one by multiplying out its e_k, a Schur one through the
+    monomial basis."""
+    if poly.basis == SCHUR:
+        return expand(poly.change_basis(MONOMIAL))
+    n = poly.n
+    den = math.lcm(*(v.denominator for v in poly.terms.values()))
+    items = [(lam, v.numerator * (den // v.denominator)) for lam, v in poly.terms.items()]
+    if poly.basis == MONOMIAL:
+        out = {}
+        for lam, c in items:
+            doubled = tuple(2 * a for a in lam) + (0,) * (n - len(lam))
+            out.update(dict.fromkeys(set(permutations(doubled)), c))
+        return laurent.LaurentPoly(n, out, den)
+    total = laurent.LaurentPoly(n)
+    for lam, c in items:
+        term = laurent.LaurentPoly.constant(n, c)
+        for part in lam:
+            subsets = combinations(range(n), part)
+            term = term * laurent.LaurentPoly(n, {tuple(2 * (i in s) for i in range(n)): 1 for s in subsets})
+        total = total + term
+    return laurent.LaurentPoly(n, total.terms, den)
+
+
+def mul(a, b):
+    """The exact product of two SymPolys of one width, in the monomial basis."""
+    if a.n != b.n:
+        raise ValueError("variable count mismatch")
+    return _from_exponent_poly(expand(a) * expand(b))
 
 
 def evaluate(poly, point):
@@ -136,7 +187,7 @@ def evaluate(poly, point):
     rationals; every exponent of the LaurentPoly must be even (an integer
     power of u)."""
     if isinstance(poly, SymPoly):
-        poly = poly.to_exponent_poly()
+        poly = expand(poly)
     if len(point) != poly.n:
         raise ValueError("point length %d != %d variables" % (len(point), poly.n))
     point = [Fraction(x) for x in point]
@@ -351,7 +402,7 @@ def bialternant_schur(lam, n):
     for sigma in permutations(range(n)):
         num[tuple(2 * L[sigma[i]] for i in range(n))] = _perm_sign(tuple(s + 1 for s in sigma))
     quotient = laurent.LaurentPoly(n, num).divide_exact(vandermonde_exponent_poly(n))
-    return SymPoly.from_exponent_poly(quotient)
+    return _from_exponent_poly(quotient)
 
 
 def jacobi_trudi_schur(lam, n):
@@ -374,18 +425,18 @@ def _sym_laplace_det(rows):
 
     def rec(cols):
         if not cols:
-            return SymPoly.one(nvars)
+            return SymPoly(nvars, MONOMIAL, {(): RAT_ONE})
         got = memo.get(cols)
         if got is not None:
             return got
         i = n - len(cols)
-        total = SymPoly.zero(nvars, MONOMIAL)
+        total = SymPoly(nvars, MONOMIAL)
         for idx, j in enumerate(cols):
             entry = rows[i][j]
             if not entry.terms:
                 continue
-            term = entry * rec(cols[:idx] + cols[idx + 1 :])
-            total = total + (term if idx % 2 == 0 else -term)
+            term = mul(entry, rec(cols[:idx] + cols[idx + 1 :]))
+            total = add(total, term if idx % 2 == 0 else scale(term, -1))
         memo[cols] = total
         return total
 
@@ -605,7 +656,7 @@ def h_raw(poly):
     Exponential in n; meant for low-degree cross-checks of
     ``HContext.apply``."""
     n = poly.n
-    work = poly.to_exponent_poly().shift_all(1)  # multiply by sqrt(e_n)
+    work = expand(poly).shift_all(1)  # multiply by sqrt(e_n)
     for i in range(n):
         for j in range(i + 1, n):
             work = work.diff(i) - work.diff(j)
@@ -713,7 +764,7 @@ def wn_det_truncated(n, g_max, dtable=None):
         dtable = DTable()
     top = min(g_max, r_max(n))
     dtable.ensure_upto(top, n)
-    acc = SymPoly.zero(n, MONOMIAL)
+    acc = SymPoly(n, MONOMIAL)
     for r in range(top + 1):
         kcap = g_max - r
         for nu, dv in dtable.get(r, n).items():
@@ -723,17 +774,17 @@ def wn_det_truncated(n, g_max, dtable=None):
                 li = lnu[i - 1]
                 row = []
                 for j in range(1, n + 1):
-                    entry = SymPoly.zero(n, MONOMIAL)
+                    entry = SymPoly(n, MONOMIAL)
                     for k in range(kcap + 1):
                         deg = li - (n - j) + 3 * k
                         if deg < 0:
                             continue
                         gam = gamma_half_ratio(5 - 2 * i, li - n + 3 * k + i)
                         c = gam / (math.factorial(k) * Rat(12) ** k)
-                        entry = entry + scale(complete_homogeneous(deg, n), c)
+                        entry = add(entry, scale(complete_homogeneous(deg, n), c))
                     row.append(entry)
                 rows.append(row)
-            acc = acc + scale(_sym_laplace_det(rows), dv)
+            acc = add(acc, scale(_sym_laplace_det(rows), dv))
     out = {}
     for g in range(g_max + 1):
         d = degree_rn(g, n)

@@ -109,6 +109,23 @@ def test_empty_verify_and_bench_boxes_are_domain_errors(tmp_path, capsys, args):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_box_beyond_the_budget_is_refused_fast(tmp_path):
+    # g <= 100, n <= 3 holds 269 126 indices, which would run for hours; the
+    # box is counted, not enumerated, and refused before any index runs
+    t0 = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "wkintersect.cli", "--cache-dir", str(tmp_path),
+         "verify", "--g-max", "100", "--n-max", "3"],
+        capture_output=True, text=True, env=_source_env(), timeout=10,
+    )
+    elapsed = time.perf_counter() - t0
+    assert res.returncode == cli.EXIT_DOMAIN and res.stdout == ""
+    assert "more than %d indices" % pengine.MAX_CLASS_SIZE in res.stderr
+    assert elapsed < 2
+    # the boxes the tests run stay inside the budget
+    assert cli._box_size(10, 5) == 4201 and cli._box_size(7, 6) == 2584
+
+
 def test_verify_reports_its_coverage_per_n(tmp_path):
     code, out = run_cli(["verify", "--g-max", "4", "--n-max", "5"], tmp_path)
     assert code == 0
@@ -382,6 +399,8 @@ def test_malformed_cache_is_io_error(tmp_path):
         "# dtable v1\nn=3 r=0\n- 1\n- 2\n",  # the same without a term count
         "# dtable v1\nn=4 r=2\n2,1,1,1,1,1 1/5\n",  # a partition with more than n rows
         "# dtable v1\nn=3 r=9 terms=1\n1 1\n",  # a component index out of range
+        "# dtable v1\nn=0 r=1 terms=1\n- 1\n",  # a block below three points
+        "# dtable v1\nn=2 r=0 terms=0\n",  # ... and an empty one
         "# dtable v1\nn=3 r=1 terms=2\n1,1,1 1/2\n",  # fewer terms than the header counts
         "# dtable v1\nn=3 q=0\n- 1\n",  # a header field that is not r=
         "# dtable v1\nn=3 r=0 terms=1 x\n- 1\n",  # a trailing header token

@@ -8,7 +8,8 @@ from brute import closed_a0n, closed_a1n, dvv_fraction, dvv_integer, evaluate
 from wkintersect.rational import Rat, dden
 from wkintersect.partitions import partition_class, ptrim
 from wkintersect import intersect, oracle
-from wkintersect.sympoly import MONOMIAL
+from wkintersect.laurent import LaurentPoly
+from wkintersect.sympoly import MONOMIAL, SymPoly
 
 
 def test_base_values():
@@ -208,6 +209,24 @@ def test_three_point_series():
 def test_unknown_series_rejected():
     with pytest.raises(ValueError):
         oracle.series_reference("A4", 2)
+
+
+def test_symmetry_check_rejects_asymmetric():
+    # the series' collector halves the doubled exponents of a symmetric
+    # polynomial into the monomial basis and rejects everything else
+    half = Rat(1, 2)
+    got = oracle._from_exponent_poly(LaurentPoly(2, {(4, 2): 1, (2, 4): 1, (0, 0): 3}, 2))
+    assert got == SymPoly(2, MONOMIAL, {(2, 1): half, (): 3 * half})
+    with pytest.raises(ValueError, match="not symmetric"):
+        oracle._from_exponent_poly(LaurentPoly(2, {(2, 0): 1}))
+    with pytest.raises(ValueError, match="not symmetric"):
+        oracle._from_exponent_poly(LaurentPoly(2, {(2, 0): 1, (0, 2): 2}))
+    # an odd doubled exponent is a half-integer power of u
+    with pytest.raises(ValueError, match="not a polynomial"):
+        oracle._from_exponent_poly(LaurentPoly(2, {(1, 1): 1}))
+    # and a negative one a negative power
+    with pytest.raises(ValueError, match="not a polynomial"):
+        oracle._from_exponent_poly(LaurentPoly(2, {(-2, -2): 1}))
 
 
 def test_s_polynomial_integrality():

@@ -51,9 +51,9 @@ def _names_used(path):
     return used
 
 
-def test_every_exported_name_has_a_caller():
-    # __all__ holds the names that the program, a demo or the benchmark
-    # calls; a name only the tests call belongs with the tests
+def _caller_paths():
+    """The program, the demos and the benchmark, without the package's
+    ``__init__.py``, which only names what it exports."""
     paths = [
         path
         for pattern in ("src/wkintersect/*.py", "demos/*.py", "perfbench/*.py")
@@ -61,8 +61,32 @@ def test_every_exported_name_has_a_caller():
         if os.path.basename(path) != "__init__.py"
     ]
     assert paths
-    used = set().union(*map(_names_used, paths))
+    return paths
+
+
+def test_every_exported_name_has_a_caller():
+    # __all__ holds the names that the program, a demo or the benchmark
+    # calls; a name only the tests call belongs with the tests
+    used = set().union(*map(_names_used, _caller_paths()))
     assert [name for name in wkintersect.__all__ if name not in used] == []
+
+
+def _attributes_used(path):
+    """Every name a file reads as an attribute, ``.name``."""
+    with open(path, encoding="utf-8") as fh:
+        toks = [t for t in tokenize.generate_tokens(fh.readline) if t.type in (tokenize.NAME, tokenize.OP)]
+    return {tok.string for prev, tok in zip(toks, toks[1:]) if prev.string == "." and tok.type == tokenize.NAME}
+
+
+def test_every_sympoly_method_has_a_caller():
+    # SymPoly is the value the API returns, not a ring: each public method
+    # is one that the program, a demo or the benchmark calls; the tests'
+    # arithmetic on SymPolys lives in tests/brute.py
+    used = set().union(*map(_attributes_used, _caller_paths()))
+    public = [name for name in dir(wkintersect.SymPoly) if not name.startswith("_")]
+    methods = [name for name in public if callable(getattr(wkintersect.SymPoly, name))]
+    assert methods
+    assert [name for name in methods if name not in used] == []
 
 
 def test_benchmark_boundaries_resolve():

@@ -4,13 +4,16 @@ import random
 import pytest
 
 from brute import (
+    add,
     alternant_coefficient,
     bialternant_schur,
     contingency_kostka,
     dominates,
     evaluate,
+    expand,
     inverse_kostka_row,
     jacobi_trudi_schur,
+    mul,
     scale,
     signed_det_inverse_kostka,
     ssyt_count,
@@ -147,7 +150,7 @@ def test_column_read_equals_inverse_kostka_rows():
         for d in range(0, 13):
             for lam in partition_class(d, n):
                 row = inverse_kostka_row(lam, n)
-                assert SymPoly.basis_element(MONOMIAL, lam, n).change_basis(SCHUR).terms == row, (n, lam)
+                assert SymPoly(n, MONOMIAL, {lam: 1}).change_basis(SCHUR).terms == row, (n, lam)
                 c = Rat(rng.randint(-9, 9), rng.randint(1, 4))
                 terms[lam] = c
                 for mu, s in row.items():
@@ -277,24 +280,24 @@ def test_basis_validation():
 
 
 def test_public_constructor_validates_internal_results_do_not_need_to():
-    # the trusted constructor behind +, - and the base changes skips
-    # validation; the public one still trims, merges and rejects
+    # the trusted constructor behind the base changes (and the tests' own
+    # sums) skips validation; the public one still trims, merges and rejects
     with pytest.raises(ValueError):
         SymPoly(3, MONOMIAL, {(1, 1, 1, 1): 1})
     with pytest.raises(ValueError):
         SymPoly(3, SCHUR, {(2, 1, 1, 1): Rat(1, 2)})
     p = SymPoly(3, MONOMIAL, {(2, 1, 0): 1, (2, 1): Rat(1, 2), (1,): 0})
     assert p.terms == {(2, 1): Rat(3, 2)}
-    q = scale(scale(p, 2) + (-p), Rat(2, 3))
+    q = scale(add(scale(p, 2), scale(p, -1)), Rat(2, 3))
     assert q == scale(p, Rat(2, 3)) and q.terms == {(2, 1): 1}
-    assert (p + (-p)).terms == {}
+    assert add(p, scale(p, -1)).terms == {}
 
 
 def test_change_basis_examples():
-    s21 = SymPoly.basis_element(SCHUR, (2, 1), 3)
+    s21 = SymPoly(3, SCHUR, {(2, 1): 1})
     assert s21.change_basis(MONOMIAL).terms == {(2, 1): 1, (1, 1, 1): 2}
 
-    e1 = SymPoly.basis_element(ELEMENTARY, (1,), 3)
+    e1 = SymPoly(3, ELEMENTARY, {(1,): 1})
     assert e1.change_basis(SCHUR).terms == {(1,): 1}
 
     p3 = SymPoly(3, MONOMIAL, {(3,): 1})
@@ -334,49 +337,38 @@ def test_monomial_elementary_composition_agrees_with_expansion():
         p = random_sympoly(n, 5, rng)
         via_schur = p.change_basis(ELEMENTARY)
         # independent check: expand both and compare exponent polynomials
-        assert not (via_schur.to_exponent_poly() - p.to_exponent_poly()).terms
+        assert not (expand(via_schur) - expand(p)).terms
 
 
 def test_multiply_examples():
-    m1 = SymPoly.basis_element(MONOMIAL, (1,), 2)
-    assert (m1 * m1).terms == {(2,): 1, (1, 1): 2}
+    m1 = SymPoly(2, MONOMIAL, {(1,): 1})
+    assert mul(m1, m1).terms == {(2,): 1, (1, 1): 2}
 
     n = 3
-    e1 = SymPoly.basis_element(ELEMENTARY, (1,), n)
-    e1cubed = e1 * e1 * e1
+    e1 = SymPoly(n, ELEMENTARY, {(1,): 1})
+    e1cubed = mul(mul(e1, e1), e1)
     p3 = SymPoly(n, MONOMIAL, {(3,): 1})
-    e2 = SymPoly.basis_element(ELEMENTARY, (2,), n)
-    e3 = SymPoly.basis_element(ELEMENTARY, (3,), n)
-    rhs = p3 + scale(e1 * e2, 3) + scale(e3.change_basis(MONOMIAL), -3)
+    e2 = SymPoly(n, ELEMENTARY, {(2,): 1})
+    e3 = SymPoly(n, ELEMENTARY, {(3,): 1})
+    rhs = add(p3, scale(mul(e1, e2), 3), scale(e3.change_basis(MONOMIAL), -3))
     assert e1cubed == rhs
 
-    one = SymPoly.one(n)
+    one = SymPoly(n, MONOMIAL, {(): 1})
     q = random_sympoly(n, 4, random.Random(0))
-    assert q * one == q
+    assert mul(q, one) == q
 
 
 def test_multiply_rejects_mixed_widths():
     with pytest.raises(ValueError):
-        SymPoly.one(2) * SymPoly.one(3)
-
-
-def test_specialize_last_to_zero():
-    e3 = SymPoly.basis_element(ELEMENTARY, (3,), 3)
-    assert e3.specialize_last_to_zero().terms == {}
-    e1 = SymPoly.basis_element(ELEMENTARY, (1,), 3)
-    assert e1.specialize_last_to_zero().terms == {(1,): 1}
-    m21 = SymPoly.basis_element(MONOMIAL, (2, 1), 2)
-    assert m21.specialize_last_to_zero().terms == {}
-    m2 = SymPoly.basis_element(MONOMIAL, (2,), 2)
-    assert m2.specialize_last_to_zero().terms == {(2,): 1}
+        mul(SymPoly(2, MONOMIAL, {(): 1}), SymPoly(3, MONOMIAL, {(): 1}))
 
 
 def test_evaluate_examples():
-    e2 = SymPoly.basis_element(ELEMENTARY, (2,), 3)
+    e2 = SymPoly(3, ELEMENTARY, {(2,): 1})
     assert evaluate(e2, (1, 1, 1)) == 3
-    s11 = SymPoly.basis_element(SCHUR, (1, 1), 2)
+    s11 = SymPoly(2, SCHUR, {(1, 1): 1})
     assert evaluate(s11, (2, 3)) == 6
-    m2 = SymPoly.basis_element(MONOMIAL, (2,), 2)
+    m2 = SymPoly(2, MONOMIAL, {(2,): 1})
     assert evaluate(m2, (1, 2)) == 5
     with pytest.raises(ValueError):
         evaluate(m2, (1, 2, 3))
@@ -390,22 +382,22 @@ def test_evaluate_commutes_with_basis_change_and_multiply():
         point = tuple(Rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
         vals = [evaluate(p.change_basis(b), point) for b in BASES]
         assert len(set(map(str, vals))) == 1
-        assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
+        assert evaluate(mul(p, q), point) == evaluate(p, point) * evaluate(q, point)
 
 
 def test_schur_determinant_identities():
     for n in (2, 3, 4):
         for d in range(0, 9):
             for lam in partition_class(d, n):
-                viak = SymPoly.basis_element(SCHUR, lam, n).change_basis(MONOMIAL)
+                viak = SymPoly(n, SCHUR, {lam: 1}).change_basis(MONOMIAL)
                 assert viak == jacobi_trudi_schur(lam, n)
                 assert viak == bialternant_schur(lam, n)
 
 
 def test_exponent_poly_division():
     n = 3
-    e1 = SymPoly.basis_element(ELEMENTARY, (1,), n).to_exponent_poly()
-    p = random_sympoly(n, 4, random.Random(9)).to_exponent_poly()
+    e1 = expand(SymPoly(n, ELEMENTARY, {(1,): 1}))
+    p = expand(random_sympoly(n, 4, random.Random(9)))
     prod = p * e1
     assert not (prod.divide_exact(e1) - p).terms
     bad = LaurentPoly(n, {(2, 0, 0): 1})
@@ -424,7 +416,7 @@ def test_text_round_trip():
         head, val = line.split()
         terms[parse_partition(head[2:-1])] = Rat(val)
     assert SymPoly(3, SCHUR, terms) == p
-    assert SymPoly.one(2).text() == "m[-] 1"
+    assert SymPoly(2, MONOMIAL, {(): 1}).text() == "m[-] 1"
     # reverse-lex ordering of lines
     lines = p.text().splitlines()
     keys = [line.split(" ", 1)[0] for line in lines]
@@ -442,13 +434,6 @@ def test_power_sum_ribbon_rule_against_generic_multiply():
         for d in (2, 3, 4, 5):
             p = random_sympoly(n, d, rng).change_basis(SCHUR)
             fast = power_sum_times_schur(p)
-            slow = (SymPoly(n, MONOMIAL, {(3,): 1}) * p.change_basis(MONOMIAL)).change_basis(SCHUR)
+            slow = mul(SymPoly(n, MONOMIAL, {(3,): 1}), p).change_basis(SCHUR)
             assert fast == slow
 
-
-def test_symmetry_check_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        SymPoly.from_exponent_poly(LaurentPoly(2, {(2, 0): 1}))
-    # an odd doubled exponent is a half-integer power of u
-    with pytest.raises(ValueError):
-        SymPoly.from_exponent_poly(LaurentPoly(2, {(1, 1): 1}))
